@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .algebra import AntiInvolution, Element, GapVirasoro, Gen
 from .forms import (DefinitenessVerdict, GramMatrix, definiteness, gram,
                     phi_gap, phi_gap_criterion, phi_virasoro)
-from .scalars import Rational, Scalar, scalar, sign_of_real
+from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates, validate_f
 from .unitarity import (classify, discrete_series, heisenberg_condition,
                         highest_weight_unitary, lowest_weight_dualize,
@@ -24,7 +24,7 @@ from .oscillator import (OscillatorModule, shifted_weight,
 __all__ = [
     "AntiInvolution", "DefinitenessVerdict", "Element", "FMatrix",
     "GapVirasoro", "Gen", "GramMatrix", "HighestWeight", "ModuleVector",
-    "OscillatorModule", "PBWMonomial", "Rational", "Scalar", "Sector",
+    "OscillatorModule", "PBWMonomial", "Scalar", "Sector",
     "SeriesModule", "VermaModule", "classify", "definiteness",
     "discrete_series", "gram", "heisenberg_condition",
     "highest_weight_unitary", "lowest_weight_dualize", "partition_count",

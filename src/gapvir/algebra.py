@@ -44,39 +44,47 @@ def _sort_key(g):
     return (rank, g.n, g.i)
 
 
-class Element:
-    """A finite Q(i)-linear combination of basis labels of one algebra."""
+def add_term(acc, key, c):
+    """Add a nonzero c at key of a sparse combination; a key whose sum cancels is dropped."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+        return
+    c = old + c
+    if c:
+        acc[key] = c
+    else:
+        del acc[key]
 
-    __slots__ = ("p", "terms")
 
-    def __init__(self, p, terms=None):
-        self.p = p
+class Combination:
+    """A finite Q(i)-linear combination of hashable keys, with no zero terms.
+
+    ``space`` is what the keys live over; combinations over different spaces
+    are never added or equal.  Subclasses name it and order keys for printing.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms=None):
+        self.space = space
         self.terms = {}
         if terms:
-            for g, c in terms.items() if isinstance(terms, dict) else terms:
+            for k, c in terms.items() if isinstance(terms, dict) else terms:
                 c = scalar(c)
                 if c:
-                    acc = self.terms.get(g)
-                    tot = c if acc is None else acc + c
-                    if tot:
-                        self.terms[g] = tot
-                    elif g in self.terms:
-                        del self.terms[g]
+                    add_term(self.terms, k, c)
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        if self.p != other.p:
-            raise ConfigError("elements over different p")
+        if self.space != other.space:
+            raise ConfigError("combinations over different spaces")
         out = dict(self.terms)
-        for g, c in other.terms.items():
-            tot = out.get(g, ZERO_S) + c
-            if tot:
-                out[g] = tot
-            elif g in out:
-                del out[g]
-        return Element(self.p, out)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return type(self)(self.space, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -84,8 +92,8 @@ class Element:
     def __rmul__(self, c):
         c = scalar(c)
         if not c:
-            return Element(self.p)
-        return Element(self.p, {g: c * v for g, v in self.terms.items()})
+            return type(self)(self.space)
+        return type(self)(self.space, {k: c * v for k, v in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -93,25 +101,36 @@ class Element:
         return (-1) * self
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.p == other.p and self.terms == other.terms
+        return (isinstance(other, type(self)) and self.space == other.space
+                and self.terms == other.terms)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for g in sorted(self.terms, key=_sort_key):
-            c = self.terms[g]
+        for k in self._ordered_keys():
+            c = self.terms[k]
             cs = str(c)
             if c.im:
                 cs = "(%s)" % cs  # keep the coefficient's "*i" out of the term grammar
-            parts.append("%s*%s" % (cs, g))
+            parts.append("%s*%s" % (cs, k))
         return " + ".join(parts)
+
+
+class Element(Combination):
+    """A finite Q(i)-linear combination of basis labels of one algebra."""
+
+    __slots__ = ()
+
+    @property
+    def p(self):
+        return self.space
+
+    def _ordered_keys(self):
+        return sorted(self.terms, key=_sort_key)
 
     def __repr__(self):
         return "Element(p=%d, %s)" % (self.p, self)
-
-
-ZERO_S = Scalar.zero()
 
 
 @dataclass(frozen=True)
@@ -189,6 +208,17 @@ class AntiInvolution:
         return g, -(a ** -1) * self._b(g.n) * self._b(self.p - g.n)
 
 
+def check_beta(p, beta):
+    """Coerce p-1 involution parameters with conj(beta_i) beta_{p-i} = 1, or raise."""
+    beta = [scalar(b) for b in beta]
+    if len(beta) != p - 1:
+        raise ConfigError("need %d beta values" % (p - 1))
+    for i in range(1, p):
+        if beta[i - 1].conj() * beta[p - i - 1] != ONE:
+            raise ConfigError("beta must satisfy conj(beta_i) beta_{p-i} = 1")
+    return beta
+
+
 class GapVirasoro:
     """The gap-p Virasoro algebra for one fixed p >= 2."""
 
@@ -260,11 +290,7 @@ class GapVirasoro:
             for gy, cy in y.terms.items():
                 c = cx * cy
                 for g, s in self.bracket_gens(gx, gy):
-                    tot = acc.get(g, ZERO_S) + c * s
-                    if tot:
-                        acc[g] = tot
-                    elif g in acc:
-                        del acc[g]
+                    add_term(acc, g, c * s)
         return Element(self.p, acc)
 
     def weight_of(self, g):
@@ -282,11 +308,7 @@ class GapVirasoro:
         acc = {}
         for g, c in x.terms.items():
             h, s = theta.image_of(g)
-            tot = acc.get(h, ZERO_S) + c.conj() * s
-            if tot:
-                acc[h] = tot
-            elif h in acc:
-                del acc[h]
+            add_term(acc, h, c.conj() * s)
         return Element(self.p, acc)
 
     def chevalley(self, x):
@@ -305,11 +327,7 @@ class GapVirasoro:
                 h = self.I(-g.n - 1, self.p - g.i)
             else:
                 h = g
-            tot = acc.get(h, ZERO_S) - c
-            if tot:
-                acc[h] = tot
-            elif h in acc:
-                del acc[h]
+            add_term(acc, h, -c)
         return Element(self.p, acc)
 
     # -- text ------------------------------------------------------------
@@ -319,15 +337,7 @@ class GapVirasoro:
         s = text.strip()
         if s == "0":
             return Element(self.p)
-        acc = {}
-        for chunk in _split_terms(s):
-            g, c = self._parse_term(chunk)
-            tot = acc.get(g, ZERO_S) + c
-            if tot:
-                acc[g] = tot
-            elif g in acc:
-                del acc[g]
-        return Element(self.p, acc)
+        return Element(self.p, [self._parse_term(chunk) for chunk in _split_terms(s)])
 
     def _parse_term(self, chunk):
         import re as _re

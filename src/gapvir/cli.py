@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import (AntiInvolution, GapVirasoro, involution_axiom_report,
                       sample_involution)
-from .errors import GapVirError
+from .errors import ConfigError, GapVirError
 from .forms import definiteness, gram, kac_scan, reducibility_report
 from .oscillator import OscillatorModule, virasoro_relation_check
 from .scalars import Scalar, scalar
@@ -71,8 +71,12 @@ def _render_text(payload):
 
 
 def _load_config(path):
+    """A JSON file whose top level is an object."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("%s: the top level must be a JSON object" % path)
+    return data
 
 
 def _collect_dynamic(extras):
@@ -182,9 +186,7 @@ def _cmd_verma_dims(args, c_vals, beta_vals):
     alg = GapVirasoro(args.p)
     max_level = _guardrail(args, args.max_level)
     hw = _weight_from_args(args, c_vals)
-    sector = {"full": Sector.full(args.p), "virasoro": Sector.virasoro(),
-              "heisenberg": Sector.heisenberg(hw.j_set())}[args.sector]
-    module = VermaModule(alg, hw, sector)
+    module = VermaModule(alg, hw, _sector_from(args, hw))
     dims = [module.graded_dim(d) for d in range(max_level + 1)]
     return _emit(args, {
         "command": "verma-dims",
@@ -220,10 +222,9 @@ def _cmd_gram(args, c_vals, beta_vals):
 
 
 def _sector_from(args, hw):
-    name = getattr(args, "sector", "full")
-    if name == "virasoro":
+    if args.sector == "virasoro":
         return Sector.virasoro()
-    if name == "heisenberg":
+    if args.sector == "heisenberg":
         return Sector.heisenberg(hw.j_set())
     return Sector.full(args.p)
 
@@ -277,6 +278,8 @@ def _cmd_series_check(args, c_vals, beta_vals):
         if spec.get("p") != args.p:
             raise GapVirError("F matrix file is for p=%s, command uses p=%d"
                               % (spec.get("p"), args.p))
+        if "rows" not in spec:
+            raise ConfigError("F matrix file %s has no \"rows\"" % args.f_file)
         rows = spec["rows"]
     elif args.f:
         rows = json.loads(args.f)
@@ -322,8 +325,7 @@ def _cmd_unitary_check(args, c_vals, beta_vals):
 
 
 def _cmd_classify(args, c_vals, beta_vals):
-    with open(args.input) as fh:
-        descriptor = json.load(fh)
+    descriptor = _load_config(args.input)
     alg = GapVirasoro(args.p)
     max_level = _guardrail(args, args.max_level)
     if "beta" not in descriptor:

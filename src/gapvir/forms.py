@@ -20,12 +20,10 @@ from fractions import Fraction
 
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
-from .linalg import rank
 from .scalars import Scalar, scalar
 from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule
 
 ZERO_S = Scalar.zero()
-ONE_S = Scalar.one()
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -108,14 +106,6 @@ def gram(module, theta, d):
             moved = theta_tilde_apply(module, theta, y, module.basis_vector(x))
             entries[a][b] = moved.terms.get(EMPTY_MONOMIAL, ZERO_S)
     return GramMatrix(d, basis, entries, theta)
-
-
-def gram_kernel_dim(g):
-    """Kernel dimension via plain row reduction (independent of the LDL route)."""
-    n = g.dim()
-    if n == 0:
-        return 0
-    return n - rank(g.entries, n)
 
 
 def definiteness(g):
@@ -231,11 +221,6 @@ def gap_criterion_zeros(hw, max_ab):
             if phi_gap_criterion(hw, a, b).is_zero()]
 
 
-def virasoro_criterion_zeros(h, c, max_ab):
-    return [[a, b] for a, b in index_pairs(max_ab)
-            if phi_virasoro(h, c, a, b).is_zero()]
-
-
 # -- reducibility oracle ------------------------------------------------------
 
 
@@ -259,9 +244,9 @@ def reducibility_report(module, max_level, theta=None, max_ab=None):
         sing = len(module.singular_vectors(d)) if d >= 1 and dim else 0
         entry["singular"] = sing
         if use_gram:
-            gm = gram(module, theta, d)
-            entry["gramKernel"] = gram_kernel_dim(gm)
-            entry["verdict"] = definiteness(gm).kind if dim else PD
+            verdict = definiteness(gram(module, theta, d))
+            entry["gramKernel"] = verdict.inertia[2]  # Sylvester: zero pivots = kernel dimension
+            entry["verdict"] = verdict.kind
         else:
             entry["gramKernel"] = None
             entry["verdict"] = None

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import NotRealError, ScalarParseError
 
-Rational = Fraction
-
 _RAT = r"\d+(?:/\d+)?"
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?:(?P<coef>%s)(?P<star>\*?)(?P<imag>i?)|(?P<lone_i>i))$" % _RAT
@@ -167,7 +165,7 @@ class Scalar:
         return Scalar(self.re / n, -self.im / n)
 
     def norm2(self):
-        """|z|^2 as an exact Rational."""
+        """|z|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
 
     # -- predicates ------------------------------------------------------
@@ -210,7 +208,7 @@ ONE = Scalar.one()
 
 
 def scalar(value):
-    """Coerce an int, Rational, Scalar, or text form to a Scalar."""
+    """Coerce an int, Fraction, Scalar, or text form to a Scalar."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):

@@ -15,7 +15,7 @@ for any other convention.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import KIND_C, KIND_L, AntiInvolution
+from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
 from .scalars import Scalar, scalar
 
@@ -31,6 +31,9 @@ class FMatrix:
 
     @classmethod
     def make(cls, p, rows):
+        if not (isinstance(rows, (list, tuple))
+                and all(isinstance(r, (list, tuple)) for r in rows)):
+            raise ConfigError("F must be a list of rows, each a list of scalars")
         rows = tuple(tuple(scalar(v) for v in row) for row in rows)
         if len(rows) != p - 1 or any(len(r) != p for r in rows):
             raise ConfigError("F must be (p-1) x p")
@@ -109,11 +112,7 @@ class SeriesModule:
             coeff, target = self.act_basis(g, k, j)
             val = c * coeff
             if target is not None and val:
-                tot = out.get(target, ZERO_S) + val
-                if tot:
-                    out[target] = tot
-                elif target in out:
-                    del out[target]
+                add_term(out, target, val)
         return out
 
     def axiom_check(self, window):
@@ -129,19 +128,13 @@ class SeriesModule:
                 for j in self.columns:
                     for k in range(-window, window + 1):
                         start = {(k, j): Scalar.one()}
-                        lhs = {}
-                        for m, c in self.act_vector(gy, start).items():
-                            for m2, c2 in self.act_vector(gx, {m: c}).items():
-                                lhs[m2] = lhs.get(m2, ZERO_S) + c2
-                        for m, c in self.act_vector(gx, start).items():
-                            for m2, c2 in self.act_vector(gy, {m: c}).items():
-                                lhs[m2] = lhs.get(m2, ZERO_S) - c2
+                        lhs = self.act_vector(gx, self.act_vector(gy, start))
+                        for m, c in self.act_vector(gy, self.act_vector(gx, start)).items():
+                            add_term(lhs, m, -c)
                         rhs = {}
                         for h, ch in bracket:
                             for m, c in self.act_vector(h, {(k, j): ch}).items():
-                                rhs[m] = rhs.get(m, ZERO_S) + c
-                        lhs = {m: c for m, c in lhs.items() if c}
-                        rhs = {m: c for m, c in rhs.items() if c}
+                                add_term(rhs, m, c)
                         if lhs != rhs:
                             return {"pass": False,
                                     "witness": {"x": str(gx), "y": str(gy),
@@ -191,12 +184,7 @@ def series_predicates(module, beta):
     """
     a, b, f = module.a, module.b, module.f
     p = module.alg.p
-    beta = [scalar(x) for x in beta]
-    if len(beta) != p - 1:
-        raise ConfigError("need %d beta values" % (p - 1))
-    for i in range(1, p):
-        if beta[i - 1].conj() * beta[p - i - 1] != Scalar.one():
-            raise ConfigError("beta must satisfy conj(beta_i) beta_{p-i} = 1")
+    beta = check_beta(p, beta)
 
     cols = module.columns
     reducible = (len(cols) == 1 and a.is_real() and a.re.denominator == 1

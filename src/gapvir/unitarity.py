@@ -22,27 +22,13 @@ flagged.
 
 from fractions import Fraction
 
-from .algebra import AntiInvolution
+from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
 from .forms import definiteness, gram
 from .oscillator import gap_weight_sum
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
 from .verma import HighestWeight, VermaModule
-
-ZERO_S = Scalar.zero()
-ONE_S = Scalar.one()
-
-
-def check_beta(p, beta):
-    beta = [scalar(b) for b in beta]
-    if len(beta) != p - 1:
-        raise ConfigError("need %d beta values" % (p - 1))
-    for i in range(1, p):
-        if beta[i - 1].conj() * beta[p - i - 1] != ONE_S:
-            raise ConfigError("beta must satisfy conj(beta_i) beta_{p-i} = 1")
-    return beta
-
 
 def heisenberg_condition(hw, beta):
     """Per-index report on beta_i phi(C_i) for i in J: reality and sign."""
@@ -183,6 +169,9 @@ def classify(alg, descriptor, max_level=6, m_bound=50):
     if beta is None:
         raise ConfigError("descriptor needs a beta list")
     if kind == "intermediate-series":
+        missing = [k for k in ("a", "b", "f") if k not in descriptor]
+        if missing:
+            raise ConfigError("intermediate-series descriptor needs %s" % ", ".join(missing))
         f = FMatrix.make(alg.p, descriptor["f"])
         module = SeriesModule(alg, scalar(descriptor["a"]), scalar(descriptor["b"]), f,
                               allow_invalid=True)

@@ -21,7 +21,7 @@ are memoized per module, keyed by (generator, monomial).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import KIND_C, KIND_I, KIND_L, Element, Gen
+from .algebra import KIND_C, KIND_I, KIND_L, Combination, Element, Gen, add_term
 from .errors import ConfigError
 from .linalg import nullspace
 from .scalars import Scalar, scalar
@@ -43,12 +43,6 @@ class PBWMonomial:
 
     def plevel(self, p):
         return sum(n * p for n in self.lparts) + sum(m * p - i for m, i in self.iparts)
-
-    def degree(self):
-        return len(self.lparts) + len(self.iparts)
-
-    def is_empty(self):
-        return not self.lparts and not self.iparts
 
     def leading(self):
         """Label of the leftmost factor; None on the empty monomial."""
@@ -155,66 +149,21 @@ class HighestWeight:
         return out
 
 
-class ModuleVector:
+class ModuleVector(Combination):
     """Finite combination of PBW monomials over one module."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ()
 
-    def __init__(self, module, terms=None):
-        self.module = module
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = scalar(c)
-                if c:
-                    self.terms[m] = c
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            tot = out.get(m, ZERO_S) + c
-            if tot:
-                out[m] = tot
-            elif m in out:
-                del out[m]
-        return ModuleVector(self.module, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = scalar(c)
-        if not c:
-            return ModuleVector(self.module)
-        return ModuleVector(self.module, {m: c * v for m, v in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleVector) and self.module is other.module
-                and self.terms == other.terms)
+    @property
+    def module(self):
+        return self.space
 
     def max_plevel(self):
         p = self.module.alg.p
         return max((m.plevel(p) for m in self.terms), default=0)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda t: (t.lparts, t.iparts), reverse=True):
-            c = self.terms[m]
-            cs = str(c)
-            if c.im:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, m.text()))
-        return " + ".join(parts)
+    def _ordered_keys(self):
+        return sorted(self.terms, key=lambda t: (t.lparts, t.iparts), reverse=True)
 
 
 class VermaModule:
@@ -291,11 +240,7 @@ class VermaModule:
         out = {}
         for mono, c in vec.terms.items():
             for m2, c2 in self.act_gen(g, mono).items():
-                tot = out.get(m2, ZERO_S) + c * c2
-                if tot:
-                    out[m2] = tot
-                elif m2 in out:
-                    del out[m2]
+                add_term(out, m2, c * c2)
         return ModuleVector(self, out)
 
     def act_element(self, x, vec):
@@ -345,18 +290,10 @@ class VermaModule:
         out = {}
         for m2, c2 in self.act_gen(g, tail).items():
             for m3, c3 in self.act_gen(lead, m2).items():
-                tot = out.get(m3, ZERO_S) + c2 * c3
-                if tot:
-                    out[m3] = tot
-                elif m3 in out:
-                    del out[m3]
+                add_term(out, m3, c2 * c3)
         for h, ch in alg.bracket_gens(g, lead):
             for m2, c2 in self.act_gen(h, tail).items():
-                tot = out.get(m2, ZERO_S) + ch * c2
-                if tot:
-                    out[m2] = tot
-                elif m2 in out:
-                    del out[m2]
+                add_term(out, m2, ch * c2)
         return out
 
     @staticmethod

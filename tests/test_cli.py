@@ -224,3 +224,24 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"] == [1, 1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"run.json": [1, 2]}, ["unitary-check", "--config", "run.json"]),
+    ({"f.json": [["1", "1"]]},
+     ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f-file", "f.json"]),
+    ({"f.json": {"p": 2}},
+     ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f-file", "f.json"]),
+    ({}, ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f", "[1,2]"]),
+    ({"d.json": {"type": "intermediate-series", "a": "1/3", "b": "1/2", "beta": ["1"]}},
+     ["classify", "--p", "2", "--input", "d.json"]),
+], ids=["config-list", "f-file-list", "f-file-no-rows", "f-flat-list", "descriptor-no-f"])
+def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("gapvir: ") and captured.err.count("\n") == 1

@@ -5,9 +5,10 @@ import pytest
 
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.errors import GramIntegrityError, UnsupportedInvolutionError
+from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           GramMatrix, definiteness, gap_criterion_zeros, gram,
-                          gram_kernel_dim, kac_scan, pairing, phi_gap,
+                          kac_scan, pairing, phi_gap,
                           phi_gap_criterion, phi_virasoro, reducibility_report,
                           virasoro_module)
 from gapvir.scalars import Scalar, scalar
@@ -80,17 +81,24 @@ def test_definiteness_requires_hermitian():
 
 
 def test_definiteness_agrees_with_kernel_rank():
+    # row reduction is the reference the LDL kernel dimension is checked against
     rng = random.Random(31)
+    matrices = []
     for _ in range(40):
         n = rng.randint(1, 5)
         raw = [[Scalar(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)]
                for _ in range(n)]
         entries = [[(raw[a][b] + raw[b][a].conj()) * scalar("1/2") for b in range(n)]
                    for a in range(n)]
-        g = GramMatrix(0, list(range(n)), entries, None)
+        matrices.append(GramMatrix(0, list(range(n)), entries, None))
+    # Gram levels with partial J, singular from level 1 on
+    module = VermaModule(GapVirasoro(4), HighestWeight.make(4, "0", ["1", "0", "1"]))
+    matrices += [gram(module, AntiInvolution.plus(4), d) for d in range(7)]
+    for g in matrices:
+        n = g.dim()
         v = definiteness(g)
         assert sum(v.inertia) == n
-        assert v.inertia[2] == gram_kernel_dim(g)
+        assert v.inertia[2] == n - rank(g.entries, n)
 
 
 def test_gram_is_hermitian_on_computed_levels():
