@@ -79,6 +79,14 @@ def _load_config(path):
     return data
 
 
+def _config_object(config, key):
+    """The value of a config key that must be a JSON object; {} when absent."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError("config key %r must be a JSON object" % key)
+    return value
+
+
 def _collect_dynamic(extras):
     """Pull repeated --cN / --betaN flags out of the leftover argv."""
     c_vals = {}
@@ -101,8 +109,7 @@ def _collect_dynamic(extras):
 
 def _weight_from_args(args, c_vals):
     p = args.p
-    config = args.config_data
-    weights = config.get("weights", {})
+    weights = _config_object(args.config_data, "weights")
     l0 = args.l0 if args.l0 is not None else weights.get("l0", "0")
     central = []
     for j in range(p // 2 + 1):
@@ -116,7 +123,7 @@ def _weight_from_args(args, c_vals):
 
 def _beta_from_args(args, beta_vals):
     p = args.p
-    config_beta = args.config_data.get("beta", {})
+    config_beta = _config_object(args.config_data, "beta")
     out = []
     for i in range(1, p):
         v = beta_vals.get(i, config_beta.get("beta%d" % i, "1"))

@@ -7,12 +7,23 @@ monomials, so the entry at (x, y) is the coefficient of the highest weight
 vector in theta(f_k)...theta(f_1) x v, where y = f_1...f_k.  The form is
 linear in its first slot and conjugate-linear in its second.
 
+Levels are assembled recursively (Shapovalov style).  With y = f y',
+(g, c) = theta(f) and d' the p-level of y', the column of G_d at y is
+c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d' basis z, for
+each x in the level-d basis: associativity of the definition above, so each
+entry equals its per-entry value exactly.  Every level below d is built once
+and cached on the module, keyed by (theta, level); pairing() keeps the
+per-entry route as the independent reference.
+
 Definiteness is decided by LDL* with complete symmetric pivoting (largest
 |diagonal| first).  When every remaining diagonal entry vanishes but an
 off-diagonal one does not, the corresponding 2x2 principal block [[0,g],[g*,0]]
 contributes one positive and one negative inertia count; leading principal
 minors alone would misclassify such matrices.  Sylvester's law then turns the
 exact pivot signs into an exact inertia triple, hence an exact verdict.
+One elimination loop serves both entry types: a real matrix is eliminated on
+bare Fractions, a complex one on Scalars, and only the upper triangle is
+updated (the lower one is its conjugate mirror).
 """
 
 from dataclasses import dataclass
@@ -24,6 +35,7 @@ from .scalars import Scalar, scalar
 from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule
 
 ZERO_S = Scalar.zero()
+ONE_S = Scalar.one()
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -98,14 +110,54 @@ def gram(module, theta, d):
     if theta.kind != "plus":
         raise UnsupportedInvolutionError(
             "contravariant Gram forms need a plus-type involution")
+    cache = module._gram_cache
+    for level in range(d + 1):
+        if (theta, level) not in cache:
+            cache[theta, level] = _gram_level(module, theta, level)
+    return GramMatrix(d, module.pbw_basis(d), [list(row) for row in cache[theta, d]], theta)
+
+
+def _gram_level(module, theta, d):
+    """Rows of the level-d Gram matrix by the recursion in the module docstring.
+
+    Needs every lower level of (module, theta) in the cache.  Columns that
+    share a leading factor share one act_gen call per row.
+    """
+    if not d:
+        return [[ONE_S]]
     basis = module.pbw_basis(d)
     n = len(basis)
-    entries = [[ZERO_S] * n for _ in range(n)]
+    rows = [[ZERO_S] * n for _ in range(n)]
+    by_lead = {}
     for b, y in enumerate(basis):
+        by_lead.setdefault(y.leading(), []).append((b, y.tail()))
+    p = module.alg.p
+    for f, cols in by_lead.items():
+        g, c = theta.image_of(f)
+        lower_level = cols[0][1].plevel(p)
+        lower = module._gram_cache[theta, lower_level]
+        index = {m: k for k, m in enumerate(module.pbw_basis(lower_level))}
+        cols = [(b, index[tail]) for b, tail in cols]
         for a, x in enumerate(basis):
-            moved = theta_tilde_apply(module, theta, y, module.basis_vector(x))
-            entries[a][b] = moved.terms.get(EMPTY_MONOMIAL, ZERO_S)
-    return GramMatrix(d, basis, entries, theta)
+            image = [(lower[index[z]], cz) for z, cz in module.act_gen(g, x).items()]
+            row = rows[a]
+            for b, j in cols:
+                s = ZERO_S
+                for lower_row, cz in image:
+                    e = lower_row[j]
+                    if e:
+                        s = s + cz * e
+                if s:
+                    row[b] = c * s
+    return rows
+
+
+def _identity(v):
+    return v
+
+
+def _real_part(v):
+    return v.re
 
 
 def definiteness(g):
@@ -113,31 +165,44 @@ def definiteness(g):
     if not g.is_hermitian():
         raise GramIntegrityError("gram matrix is not Hermitian")
     n = g.dim()
-    a = [[g.entries[r][c] for c in range(n)] for r in range(n)]
+    if all(v.is_real() for row in g.entries for v in row):
+        a = [[v.re for v in row] for row in g.entries]
+        conj = real = _identity
+    else:
+        a = [list(row) for row in g.entries]
+        conj, real = Scalar.conj, _real_part
+    # Only a[r][c] with r <= c is kept up to date; below the diagonal the
+    # entry is the conjugate of its mirror.  active stays in ascending order.
     active = list(range(n))
+
+    def column(k):
+        return {r: a[r][k] if r <= k else conj(a[k][r]) for r in active}
+
     n_pos = n_neg = n_zero = 0
     pivot_trail = []
     witness = ()
     while active:
-        best = max(active, key=lambda k: abs(a[k][k].re))
+        best = max(active, key=lambda k: abs(real(a[k][k])))
         if a[best][best]:
-            d = a[best][best].re
+            d = real(a[best][best])
             pivot_trail.append(best)
             if d > 0:
                 n_pos += 1
             else:
                 n_neg += 1
             active.remove(best)
-            dinv = Scalar(Fraction(1) / d)
-            col = {r: a[r][best] for r in active}
-            for r in active:
+            dinv = 1 / d
+            col = column(best)
+            colc = {r: conj(v) for r, v in col.items()}
+            for k, r in enumerate(active):
                 cr = col[r]
                 if not cr:
                     continue
                 f = cr * dinv
-                for c in active:
-                    if col[c]:
-                        a[r][c] = a[r][c] - f * col[c].conj()
+                row = a[r]
+                for c in active[k:]:
+                    if colc[c]:
+                        row[c] = row[c] - f * colc[c]
             if not witness and n_pos and n_neg:
                 witness = tuple(pivot_trail)
             continue
@@ -161,16 +226,17 @@ def definiteness(g):
             witness = (ii, jj)
         active.remove(ii)
         active.remove(jj)
-        gi = gg.inv()
-        gci = gg.conj().inv()
-        coli = {r: a[r][ii] for r in active}
-        colj = {r: a[r][jj] for r in active}
-        for r in active:
-            for c in active:
-                corr = (colj[r] * gi * coli[c].conj()
-                        + coli[r] * gci * colj[c].conj())
+        gi = 1 / gg
+        gci = 1 / conj(gg)
+        coli = column(ii)
+        colj = column(jj)
+        for k, r in enumerate(active):
+            row = a[r]
+            for c in active[k:]:
+                corr = (colj[r] * gi * conj(coli[c])
+                        + coli[r] * gci * conj(colj[c]))
                 if corr:
-                    a[r][c] = a[r][c] - corr
+                    row[c] = row[c] - corr
     inertia = (n_pos, n_neg, n_zero)
     if n_neg == 0:
         if n_zero == 0:

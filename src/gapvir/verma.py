@@ -177,6 +177,7 @@ class VermaModule:
         self.hw = hw
         self.sector = sector if sector is not None else Sector.full(alg.p)
         self._act_cache = {}
+        self._gram_cache = {}  # Gram rows by (theta, level), filled by forms.gram
         self._basis_cache = {}
 
     # -- basis ---------------------------------------------------------

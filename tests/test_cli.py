@@ -228,6 +228,8 @@ def test_console_entry_point_runs():
 
 @pytest.mark.parametrize("files, argv", [
     ({"run.json": [1, 2]}, ["unitary-check", "--config", "run.json"]),
+    ({"run.json": {"weights": [1]}}, ["unitary-check", "--config", "run.json"]),
+    ({"run.json": {"beta": ["1"]}}, ["unitary-check", "--config", "run.json"]),
     ({"f.json": [["1", "1"]]},
      ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f-file", "f.json"]),
     ({"f.json": {"p": 2}},
@@ -235,7 +237,7 @@ def test_console_entry_point_runs():
     ({}, ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f", "[1,2]"]),
     ({"d.json": {"type": "intermediate-series", "a": "1/3", "b": "1/2", "beta": ["1"]}},
      ["classify", "--p", "2", "--input", "d.json"]),
-], ids=["config-list", "f-file-list", "f-file-no-rows", "f-flat-list", "descriptor-no-f"])
+], ids=["config-list", "config-weights-list", "config-beta-list", "f-file-list", "f-file-no-rows", "f-flat-list", "descriptor-no-f"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():

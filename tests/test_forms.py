@@ -80,6 +80,26 @@ def test_definiteness_requires_hermitian():
         definiteness(hermitian([["1*i"]]))
 
 
+def _real_symmetric(rng, n):
+    """Seeded real symmetric matrix: full, low-rank, or with a forced zero diagonal."""
+    shape = rng.choice(("full", "low-rank", "zero-diagonal"))
+    if shape == "low-rank":
+        vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+        signs = [rng.choice((-1, 1)) for _ in vecs]
+        return [[Scalar(sum(s * v[a] * v[b] for s, v in zip(signs, vecs)))
+                 for b in range(n)] for a in range(n)]
+    m = [[Scalar(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if a == b and shape == "zero-diagonal":
+                continue
+            m[a][b] = m[b][a] = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return m
+
+
+UNIT_GAUSSIAN = ["1", "-1", "i", "3/5+4/5*i", "5/13-12/13*i", "-8/17+15/17*i"]
+
+
 def test_definiteness_agrees_with_kernel_rank():
     # row reduction is the reference the LDL kernel dimension is checked against
     rng = random.Random(31)
@@ -94,11 +114,68 @@ def test_definiteness_agrees_with_kernel_rank():
     # Gram levels with partial J, singular from level 1 on
     module = VermaModule(GapVirasoro(4), HighestWeight.make(4, "0", ["1", "0", "1"]))
     matrices += [gram(module, AntiInvolution.plus(4), d) for d in range(7)]
+    # real symmetric M (the Fraction path) against D M D* with D diagonal and
+    # unit-modulus (the Scalar path): same pivots, so the same verdict
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        m = _real_symmetric(rng, n)
+        unit = [scalar(rng.choice(UNIT_GAUSSIAN)) for _ in range(n)]
+        twisted = [[unit[a] * m[a][b] * unit[b].conj() for b in range(n)] for a in range(n)]
+        real_v = definiteness(hermitian(m))
+        complex_v = definiteness(hermitian(twisted))
+        assert (real_v.kind, real_v.kernel_dim, real_v.witness, real_v.inertia) == \
+            (complex_v.kind, complex_v.kernel_dim, complex_v.witness, complex_v.inertia)
+        matrices += [hermitian(m), hermitian(twisted)]
     for g in matrices:
         n = g.dim()
         v = definiteness(g)
         assert sum(v.inertia) == n
         assert v.inertia[2] == n - rank(g.entries, n)
+
+
+GRAM_CASES = [
+    (2, "1/16", ["5/2", "1"], None, None),
+    (3, "1/4", ["9", "1"], None, None),
+    (4, "1/3", ["5", "1", "2"], None, None),
+    (4, "0", ["1", "0", "1"], None, None),                    # partial J = {2}
+    (2, "3/7", ["1", "0"], "virasoro", None),
+    (3, "2/5", ["4", "3"], "heisenberg", None),
+    (2, "1", ["3", "1/5"], None, ["3/5-4/5*i"]),             # not Hermitian
+]
+
+
+@pytest.mark.parametrize("p, l0, central, sector, beta", GRAM_CASES)
+def test_gram_matches_per_entry_pairing(p, l0, central, sector, beta):
+    hw = HighestWeight.make(p, l0, central)
+    sectors = {None: None, "virasoro": Sector.virasoro(),
+               "heisenberg": Sector.heisenberg(hw.j_set())}
+    theta = AntiInvolution.plus(p, 1, beta)
+    module = VermaModule(GapVirasoro(p), hw, sectors[sector])
+    levels = [gram(module, theta, d) for d in range(7)]
+    for d, g in enumerate(levels):
+        for a, x in enumerate(g.basis):
+            for b, y in enumerate(g.basis):
+                assert g.entries[a][b] == pairing(module, theta, module.basis_vector(x),
+                                                  module.basis_vector(y)), (d, x, y)
+    # a fresh module asked for level 6 first builds the same matrix
+    fresh = VermaModule(GapVirasoro(p), hw, sectors[sector])
+    assert gram(fresh, theta, 6).entries == levels[6].entries
+
+
+def test_gram_cache_is_kept_per_theta():
+    module = VermaModule(GapVirasoro(2), HighestWeight.make(2, "1/16", ["5/2", "1"]))
+    plus_one, minus_one = AntiInvolution.plus(2, 1, ["1"]), AntiInvolution.plus(2, 1, ["-1"])
+    first = [gram(module, plus_one, d).entries for d in range(5)]
+    second = [gram(module, minus_one, d).entries for d in range(5)]
+    assert [gram(module, plus_one, d).entries for d in range(5)] == first
+    # beta enters through I-factors only: the single I_{-1}^1 entry flips sign
+    assert second[1] == [[-v for v in row] for row in first[1]]
+    assert second[2] == first[2] and second[3] != first[3]
+    for theta, levels in ((plus_one, first), (minus_one, second)):
+        for d, rows in enumerate(levels):
+            basis = module.pbw_basis(d)
+            assert rows == [[pairing(module, theta, module.basis_vector(x),
+                                     module.basis_vector(y)) for y in basis] for x in basis]
 
 
 def test_gram_is_hermitian_on_computed_levels():
