@@ -132,6 +132,8 @@ def _beta_from_args(args, beta_vals):
 
 
 def _guardrail(args, requested):
+    if requested < 0:
+        raise GapVirError("level %d is negative" % requested)
     guard = int(os.environ.get("GAPVIR_MAX_LEVEL", DEFAULT_MAX_LEVEL_GUARD))
     if requested > guard:
         raise GapVirError("max level %d exceeds the guardrail %d "
@@ -353,8 +355,10 @@ def _cmd_kac_scan(args, c_vals, beta_vals):
     alg = GapVirasoro(args.p)
     max_level = _guardrail(args, args.max_level * alg.p) // alg.p
     c_values = [scalar(tok) for tok in args.central.split(",")]
-    num, den = args.grid.split("/")
-    h_values = [Scalar(Fraction(k, int(den))) for k in range(int(num) + 1)]
+    num, den = (int(v) for v in args.grid.split("/"))
+    if num < 0 or den < 1:
+        raise GapVirError("--grid num/den needs num >= 0 and den >= 1")
+    h_values = [Scalar(Fraction(k, den)) for k in range(num + 1)]
     report = kac_scan(alg, c_values, h_values, max_level, args.max_ab)
     report.update({
         "command": "kac-scan",
@@ -471,7 +475,7 @@ def build_parser():
 
 
 def _apply_config_defaults(args):
-    """Fill unset flags from the config file, then from built-in defaults."""
+    """Fill unset flags from the config file, then from built-in defaults; check ranges."""
     cfg = args.config_data
     if args.p is None:
         args.p = int(cfg.get("p", 2))
@@ -483,6 +487,10 @@ def _apply_config_defaults(args):
         args.max_level = int(cfg.get("maxLevel", args.max_level_default))
     if getattr(args, "window", None) is None and hasattr(args, "window"):
         args.window = int(cfg.get("window", args.window_default))
+    for name, low in (("count", 0), ("window", 0), ("mode_window", 0), ("max_ab", 0),
+                      ("m_bound", 2)):
+        if getattr(args, name, low) < low:
+            raise GapVirError("--%s must be at least %d" % (name.replace("_", "-"), low))
 
 
 def main(argv=None):

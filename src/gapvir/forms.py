@@ -21,9 +21,9 @@ off-diagonal one does not, the corresponding 2x2 principal block [[0,g],[g*,0]]
 contributes one positive and one negative inertia count; leading principal
 minors alone would misclassify such matrices.  Sylvester's law then turns the
 exact pivot signs into an exact inertia triple, hence an exact verdict.
-One elimination loop serves both entry types: a real matrix is eliminated on
-bare Fractions, a complex one on Scalars, and only the upper triangle is
-updated (the lower one is its conjugate mirror).
+One elimination loop serves both entry types; linalg.working_copy applies the
+package's entry rule (bare Fractions for a real matrix, Scalars otherwise),
+and only the upper triangle is updated (the lower one is its conjugate mirror).
 """
 
 from dataclasses import dataclass
@@ -31,11 +31,9 @@ from fractions import Fraction
 
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
-from .scalars import Scalar, scalar
+from .linalg import working_copy
+from .scalars import ONE, ZERO, Scalar, scalar
 from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule
-
-ZERO_S = Scalar.zero()
-ONE_S = Scalar.one()
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -72,9 +70,6 @@ class DefinitenessVerdict:
     witness: tuple = ()
     inertia: tuple = (0, 0, 0)
 
-    def is_psd(self):
-        return self.kind in (PD, PSD_SINGULAR)
-
     def describe(self):
         out = {"kind": self.kind, "kernelDim": self.kernel_dim,
                "inertia": list(self.inertia)}
@@ -96,7 +91,7 @@ def theta_tilde_apply(module, theta, mono, vec):
 
 def pairing(module, theta, u, w):
     """<u, w> for arbitrary module vectors, conjugate-linear in w."""
-    total = ZERO_S
+    total = ZERO
     for mono, c in w.terms.items():
         moved = theta_tilde_apply(module, theta, mono, u)
         coeff = moved.terms.get(EMPTY_MONOMIAL)
@@ -124,10 +119,10 @@ def _gram_level(module, theta, d):
     share a leading factor share one act_gen call per row.
     """
     if not d:
-        return [[ONE_S]]
+        return [[ONE]]
     basis = module.pbw_basis(d)
     n = len(basis)
-    rows = [[ZERO_S] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     by_lead = {}
     for b, y in enumerate(basis):
         by_lead.setdefault(y.leading(), []).append((b, y.tail()))
@@ -142,7 +137,7 @@ def _gram_level(module, theta, d):
             image = [(lower[index[z]], cz) for z, cz in module.act_gen(g, x).items()]
             row = rows[a]
             for b, j in cols:
-                s = ZERO_S
+                s = ZERO
                 for lower_row, cz in image:
                     e = lower_row[j]
                     if e:
@@ -152,25 +147,12 @@ def _gram_level(module, theta, d):
     return rows
 
 
-def _identity(v):
-    return v
-
-
-def _real_part(v):
-    return v.re
-
-
 def definiteness(g):
     """Exact definiteness verdict for a Hermitian Gram matrix."""
     if not g.is_hermitian():
         raise GramIntegrityError("gram matrix is not Hermitian")
     n = g.dim()
-    if all(v.is_real() for row in g.entries for v in row):
-        a = [[v.re for v in row] for row in g.entries]
-        conj = real = _identity
-    else:
-        a = [list(row) for row in g.entries]
-        conj, real = Scalar.conj, _real_part
+    a, conj, real = working_copy(g.entries)
     # Only a[r][c] with r <= c is kept up to date; below the diagonal the
     # entry is the conjugate of its mirror.  active stays in ascending order.
     active = list(range(n))
@@ -290,7 +272,7 @@ def gap_criterion_zeros(hw, max_ab):
 # -- reducibility oracle ------------------------------------------------------
 
 
-def reducibility_report(module, max_level, theta=None, max_ab=None):
+def reducibility_report(module, max_level, max_ab=None):
     """Level-by-level singular-vector and Gram-kernel scan.
 
     Both routes run when the weight is real; otherwise only the
@@ -299,8 +281,7 @@ def reducibility_report(module, max_level, theta=None, max_ab=None):
     than here.
     """
     hw = module.hw
-    if theta is None:
-        theta = AntiInvolution.plus(hw.p)
+    theta = AntiInvolution.plus(hw.p)
     use_gram = hw.is_real()
     levels = []
     first_singular = None
@@ -339,7 +320,7 @@ def reducibility_report(module, max_level, theta=None, max_ab=None):
 
 def virasoro_weight(p, h, c):
     """Weight with only L_0 and C_0 values set; the Heisenberg centers vanish."""
-    central = [scalar(c)] + [ZERO_S] * (p // 2)
+    central = [scalar(c)] + [ZERO] * (p // 2)
     return HighestWeight(p, scalar(h), tuple(central))
 
 

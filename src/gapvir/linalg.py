@@ -1,17 +1,32 @@
 """Small exact linear-algebra routines over the Gaussian rationals.
 
-Everything here works on lists of lists of Scalar and is only meant for the
-desk-scale matrices this package produces (dimensions in the tens).
+Entry rule: a matrix whose entries are all real is eliminated on bare
+Fractions, any other matrix on Scalars.  working_copy() applies the rule for
+every exact elimination (rank, nullspace, forms.definiteness), so only this
+module inspects entry types.  Meant for the desk-scale matrices this package
+produces (dimensions in the tens to low hundreds).
 """
 
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
-ZERO_S = Scalar.zero()
-ONE_S = Scalar.one()
+
+def _identity(v):
+    return v
+
+
+def _real_part(v):
+    return v.re
+
+
+def working_copy(rows):
+    """Mutable copy of rows by the entry rule, with the matching conj and real-part maps."""
+    if all(v.is_real() for row in rows for v in row):
+        return [[v.re for v in row] for row in rows], _identity, _identity
+    return [list(row) for row in rows], Scalar.conj, _real_part
 
 
 def row_reduce(rows, ncols):
-    """In-place reduced row echelon form; returns the list of pivot columns."""
+    """In-place reduced row echelon form of Fraction or Scalar rows; returns the pivot columns."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -23,12 +38,17 @@ def row_reduce(rows, ncols):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        row = rows[r]
+        inv = 1 / row[c]
+        # entries left of c vanish, so an update touches the nonzero ones from c on
+        support = [j for j in range(c, ncols) if row[j]]
+        for j in support:
+            row[j] = row[j] * inv
+        for k, other in enumerate(rows):
+            f = other[c]
+            if k != r and f:
+                for j in support:
+                    other[j] = other[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -37,23 +57,22 @@ def row_reduce(rows, ncols):
 
 
 def rank(rows, ncols):
-    work = [list(row) for row in rows]
-    return len(row_reduce(work, ncols))
+    return len(row_reduce(working_copy(rows)[0], ncols))
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel, one coordinate list per basis vector."""
-    work = [list(row) for row in rows]
+    """Basis of the right kernel, one list of Scalar coordinates per basis vector."""
+    work = working_copy(rows)[0]
     pivots = row_reduce(work, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [ZERO_S] * ncols
-        vec[fc] = ONE_S
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
         for r, pc in enumerate(pivots):
             v = work[r][fc]
             if v:
-                vec[pc] = -v
+                vec[pc] = scalar(-v)
         basis.append(vec)
     return basis

@@ -22,10 +22,8 @@ from fractions import Fraction
 
 from .algebra import KIND_C, KIND_L
 from .errors import ConfigError
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 from .verma import ModuleVector, Sector, VermaModule
-
-ZERO_S = Scalar.zero()
 
 
 def gap_weight_sum(p, j_set):
@@ -39,7 +37,7 @@ def shifted_weight(hw):
 
     psi_l0 = hw.l0 - gap_weight_sum(hw.p, hw.j_set())
     psi_c0 = hw.c_value(0) - Scalar(len(hw.j_set()))
-    central = (psi_c0,) + (ZERO_S,) * (hw.p // 2)
+    central = (psi_c0,) + (ZERO,) * (hw.p // 2)
     return HighestWeight(hw.p, psi_l0, central)
 
 

@@ -17,9 +17,7 @@ from fractions import Fraction
 
 from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
-from .scalars import Scalar, scalar
-
-ZERO_S = Scalar.zero()
+from .scalars import ZERO, Scalar, scalar
 
 
 @dataclass(frozen=True)
@@ -95,13 +93,13 @@ class SeriesModule:
         if j not in self.columns:
             raise ConfigError("column %d is not in col(F)" % j)
         if g.kind == KIND_C:
-            return ZERO_S, None
+            return ZERO, None
         if g.kind == KIND_L:
             coeff = -(self.a + Scalar(k) + Scalar(Fraction(j, p)) + self.b * g.n)
             return coeff, (g.n + k, j)
         coeff = self.f.entry(g.i, j)
         if not coeff:
-            return ZERO_S, None
+            return ZERO, None
         fused = g.i + j
         return coeff, (g.n + k + fused // p, fused % p)
 
@@ -118,10 +116,7 @@ class SeriesModule:
     def axiom_check(self, window):
         """Bracket action equals commutator of actions on a finite window."""
         alg = self.alg
-        p = alg.p
-        gens = [alg.L(n) for n in range(-window, window + 1)]
-        gens += [alg.I(n, i) for n in range(-window, window + 1) for i in range(1, p)]
-        gens += [alg.C(j) for j in range(p // 2 + 1)]
+        gens = alg.basis_window(-window, window)
         for gx in gens:
             for gy in gens:
                 bracket = alg.bracket_gens(gx, gy)
@@ -166,9 +161,9 @@ def delta_form_contravariant(module, beta, window):
         for u in basis:
             img = module.act_vector(g, {u: Scalar.one()})
             for w in basis:
-                lhs = img.get(w, ZERO_S)
+                lhs = img.get(w, ZERO)
                 back = module.act_vector(gh, {w: ch})
-                rhs = back.get(u, ZERO_S).conj()
+                rhs = back.get(u, ZERO).conj()
                 if lhs != rhs:
                     return False
     return True

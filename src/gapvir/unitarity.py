@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
-from .forms import definiteness, gram
+from .forms import PD, PSD_SINGULAR, definiteness, gram
 from .oscillator import gap_weight_sum
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
@@ -130,8 +130,7 @@ def unitarity_oracle(alg, hw, beta, max_level):
 
 
 def oracle_is_psd(levels):
-    return all(e["verdict"] in ("positive-definite", "positive-semidefinite-singular")
-               for e in levels)
+    return all(e["verdict"] in (PD, PSD_SINGULAR) for e in levels)
 
 
 def unitarity_verdict(alg, hw, beta, max_level, m_bound=50):

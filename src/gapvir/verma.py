@@ -24,10 +24,7 @@ from fractions import Fraction
 from .algebra import KIND_C, KIND_I, KIND_L, Combination, Element, Gen, add_term
 from .errors import ConfigError
 from .linalg import nullspace
-from .scalars import Scalar, scalar
-
-ZERO_S = Scalar.zero()
-ONE_S = Scalar.one()
+from .scalars import ONE, ZERO, Scalar, scalar
 
 
 @dataclass(frozen=True)
@@ -226,13 +223,13 @@ class VermaModule:
         return len(self.pbw_basis(d))
 
     def highest_vector(self):
-        return ModuleVector(self, {EMPTY_MONOMIAL: ONE_S})
+        return ModuleVector(self, {EMPTY_MONOMIAL: ONE})
 
     def vector(self, terms):
         return ModuleVector(self, terms)
 
     def basis_vector(self, mono):
-        return ModuleVector(self, {mono: ONE_S})
+        return ModuleVector(self, {mono: ONE})
 
     # -- action ----------------------------------------------------------
 
@@ -282,10 +279,10 @@ class VermaModule:
         if lead is None:
             # acting on the highest weight vector
             if lowering:
-                return {self._prepended(g, mono): ONE_S}
+                return {self._prepended(g, mono): ONE}
             return {}
         if lowering and _rank(g) >= _rank(lead):
-            return {self._prepended(g, mono): ONE_S}
+            return {self._prepended(g, mono): ONE}
         # commute g past the leading factor: g f = f g + [g, f]
         tail = mono.tail()
         out = {}
@@ -328,17 +325,12 @@ class VermaModule:
             target = d - int(shift)
             if target < 0:
                 continue
-            tgt_basis = self.pbw_basis(target)
-            index = {m: k for k, m in enumerate(tgt_basis)}
-            cols = []
-            for mono in basis:
-                image = self.act_gen(g, mono)
-                col = [ZERO_S] * len(tgt_basis)
-                for m2, c2 in image.items():
-                    col[index[m2]] = c2
-                cols.append(col)
-            for r in range(len(tgt_basis)):
-                rows.append([cols[k][r] for k in range(len(basis))])
+            index = {m: k for k, m in enumerate(self.pbw_basis(target))}
+            block = [[ZERO] * len(basis) for _ in index]
+            for b, mono in enumerate(basis):
+                for m2, c2 in self.act_gen(g, mono).items():
+                    block[index[m2]][b] = c2
+            rows += block
         sols = nullspace(rows, len(basis))
         return [ModuleVector(self, {m: c for m, c in zip(basis, sol) if c})
                 for sol in sols]

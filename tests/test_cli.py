@@ -237,7 +237,22 @@ def test_console_entry_point_runs():
     ({}, ["series-check", "--p", "2", "--a", "0", "--b", "1/2", "--f", "[1,2]"]),
     ({"d.json": {"type": "intermediate-series", "a": "1/3", "b": "1/2", "beta": ["1"]}},
      ["classify", "--p", "2", "--input", "d.json"]),
-], ids=["config-list", "config-weights-list", "config-beta-list", "f-file-list", "f-file-no-rows", "f-flat-list", "descriptor-no-f"])
+    ({}, ["unitary-check", "--p", "2", "--l0=-1", "--c0", "2", "--c1", "1",
+          "--max-level", "-1"]),
+    ({}, ["verma-dims", "--max-level", "-3"]),
+    ({}, ["kac-scan", "--max-level", "-1"]),
+    ({}, ["involution-check", "--count", "-2"]),
+    ({}, ["series-check", "--p", "2", "--a", "1/3", "--b", "1/2", "--f", '[["1","1"]]',
+          "--window", "-1"]),
+    ({}, ["sugawara-check", "--p", "2", "--c1", "1", "--mode-window", "-1"]),
+    ({}, ["reducibility", "--max-ab", "-1"]),
+    ({}, ["kac-scan", "--max-ab", "-1"]),
+    ({}, ["kac-scan", "--grid=-4/2"]),
+    ({}, ["unitary-check", "--m-bound", "1"]),
+], ids=["config-list", "config-weights-list", "config-beta-list", "f-file-list", "f-file-no-rows",
+        "f-flat-list", "descriptor-no-f", "negative-max-level", "negative-dims-level",
+        "negative-kac-level", "negative-count", "negative-window", "negative-mode-window",
+        "negative-max-ab", "negative-kac-max-ab", "negative-grid", "m-bound-below-2"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
