@@ -3,8 +3,12 @@
 Subcommands: bracket, involution-check, verma-dims, gram, reducibility,
 sugawara-check, series-check, unitary-check, classify, kac-scan.
 
-Exit codes: 0 on success, 1 when a report carries a failing verdict or a
-disagreement between routes, 2 on usage or configuration errors.  Reports are
+Every setting is resolved once, by ``_resolve``, before a handler runs: the
+flag, else the ``--config`` value, else the default declared with the flag,
+with the same conversion and checks whatever the source.  Exit codes: 0 on
+success, 1 when a report carries a failing verdict or a disagreement between
+routes, 2 on usage or configuration errors, each printed as one
+``gapvir: ...`` line on stderr, argparse's own errors included.  Reports are
 byte-identical for identical configuration and seed: scalars are printed
 exactly, keys are sorted, and nothing time- or environment-dependent is
 embedded.
@@ -31,12 +35,14 @@ from .verma import HighestWeight, Sector, VermaModule
 
 SCHEMA = "gapvir/1"
 DEFAULT_MAX_LEVEL_GUARD = 24
+SECTORS = ("full", "virasoro", "heisenberg")
 
 _DYNFLAG = re.compile(r"^--(c|beta)([1-9]\d*)(?:=(.*))?$")
 
 
 def _emit(args, payload, exit_code=0):
     payload = dict(payload)
+    payload["command"] = args.subcommand
     payload["schema"] = SCHEMA
     payload["tool"] = {"name": "gapvir", "version": __version__}
     if args.output_format == "json":
@@ -87,58 +93,97 @@ def _config_object(config, key):
     return value
 
 
-def _collect_dynamic(extras):
-    """Pull repeated --cN / --betaN flags out of the leftover argv."""
-    c_vals = {}
-    beta_vals = {}
+def _collect_dynamic(extras, families):
+    """Pull repeated --cN / --betaN flags of the given families out of the leftover argv."""
+    given = {family: {} for family in families}
     i = 0
     while i < len(extras):
         m = _DYNFLAG.match(extras[i])
-        if not m:
+        if not m or m.group(1) not in families:
             raise GapVirError("unrecognized argument %r" % extras[i])
-        family, idx, inline = m.group(1), int(m.group(2)), m.group(3)
+        inline = m.group(3)
         if inline is None:
             if i + 1 >= len(extras):
                 raise GapVirError("flag %s needs a value" % extras[i])
             inline = extras[i + 1]
             i += 1
-        (c_vals if family == "c" else beta_vals)[idx] = inline
+        given[m.group(1)][m.group(1) + m.group(2)] = inline
         i += 1
-    return c_vals, beta_vals
+    return given
 
 
-def _weight_from_args(args, c_vals):
+def _indexed(p, given, config, key, prefix, first, last, fill, extra=()):
+    """Values of extra + prefix<first>..prefix<last>: the flag, else config[key], else fill."""
+    from_config = _config_object(config, key)
+    names = list(extra) + ["%s%d" % (prefix, i) for i in range(first, last + 1)]
+    for name in list(given) + list(from_config):
+        if name not in names:
+            where = "--" + name if name in given else "config %s key %r" % (key, name)
+            raise GapVirError("%s is out of range: p=%d allows --%s%d..--%s%d"
+                              % (where, p, prefix, first, prefix, last))
+    return [given.get(n, from_config.get(n, fill)) for n in names]
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _grid(text):
+    """A kac-scan weight grid num/den, as (num, den) with num >= 0 and den >= 1."""
+    num, slash, den = text.partition("/")
+    if not slash or _int(num) < 0 or _int(den) < 1:
+        raise ValueError("expected num/den with num >= 0 and den >= 1")
+    return int(num), int(den)
+
+
+def _resolve(args, extras):
+    """Give every setting its value and check it, once, before dispatch.
+
+    A setting takes its flag, else its ``--config`` key, else the default
+    declared with the flag.  Type, choices, lower bound and the level
+    guardrail apply whatever the source, and an error names the flag or key
+    and the value given.  The indexed weights and beta are checked against p.
+    """
+    config = _load_config(args.config) if args.config else {}
+    values = vars(args)
+    for dest, flag, default, kind, key, low, choices, level in args.settings:
+        name, raw = flag, values[dest]
+        if raw is None and config.get(key) is not None:
+            name, raw = "config " + key, config[key]
+        if raw is None:
+            raw = default
+        if raw is None:
+            continue
+        try:
+            value = kind(str(raw))
+        except ValueError as exc:
+            raise GapVirError("%s %s: %s" % (name, raw, exc)) from None
+        if choices and value not in choices:
+            raise GapVirError("%s %s: choose from %s" % (name, raw, ", ".join(choices)))
+        if low is not None and value < low:
+            raise GapVirError("%s %s: must be at least %d" % (name, raw, low))
+        if level:
+            # --p is resolved first; kac-scan counts Virasoro levels, p p-levels each
+            scaled = value * args.p if level == "virasoro" else value
+            guard = int(os.environ.get("GAPVIR_MAX_LEVEL", DEFAULT_MAX_LEVEL_GUARD))
+            if scaled > guard:
+                raise GapVirError("%s %s: p-level %d is over the guardrail %d (set "
+                                  "GAPVIR_MAX_LEVEL to raise it)" % (name, raw, scaled, guard))
+        values[dest] = value
     p = args.p
-    weights = _config_object(args.config_data, "weights")
-    l0 = args.l0 if args.l0 is not None else weights.get("l0", "0")
-    central = []
-    for j in range(p // 2 + 1):
-        if j == 0:
-            v = args.c0 if args.c0 is not None else weights.get("c0", "0")
-        else:
-            v = c_vals.get(j, weights.get("c%d" % j, "0"))
-        central.append(v)
-    return HighestWeight.make(p, l0, central)
-
-
-def _beta_from_args(args, beta_vals):
-    p = args.p
-    config_beta = _config_object(args.config_data, "beta")
-    out = []
-    for i in range(1, p):
-        v = beta_vals.get(i, config_beta.get("beta%d" % i, "1"))
-        out.append(scalar(v))
-    return out
-
-
-def _guardrail(args, requested):
-    if requested < 0:
-        raise GapVirError("level %d is negative" % requested)
-    guard = int(os.environ.get("GAPVIR_MAX_LEVEL", DEFAULT_MAX_LEVEL_GUARD))
-    if requested > guard:
-        raise GapVirError("max level %d exceeds the guardrail %d "
-                          "(set GAPVIR_MAX_LEVEL to raise it)" % (requested, guard))
-    return requested
+    args.alg = GapVirasoro(p)
+    given = _collect_dynamic(extras, args.indexed)
+    if "c" in args.indexed:
+        flags = {"l0": args.l0, "c0": args.c0}
+        given["c"].update((n, v) for n, v in flags.items() if v is not None)
+        l0, *central = _indexed(p, given["c"], config, "weights", "c", 0, p // 2, "0", ("l0",))
+        args.hw = HighestWeight.make(p, l0, central)
+    if "beta" in args.indexed:
+        args.beta = [scalar(v) for v in
+                     _indexed(p, given["beta"], config, "beta", "beta", 1, p - 1, "1")]
 
 
 def _config_echo(args, extra=None):
@@ -151,28 +196,25 @@ def _config_echo(args, extra=None):
 # -- subcommand handlers --------------------------------------------------
 
 
-def _cmd_bracket(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    x = alg.parse_element(args.x)
-    y = alg.parse_element(args.y)
-    result = alg.bracket(x, y)
+def _cmd_bracket(args):
+    x = args.alg.parse_element(args.x)
+    y = args.alg.parse_element(args.y)
+    result = args.alg.bracket(x, y)
     return _emit(args, {
-        "command": "bracket",
         "config": _config_echo(args, {"x": args.x, "y": args.y}),
         "result": str(result),
         "rules": ["defining-bracket-relations"],
     })
 
 
-def _cmd_involution_check(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
+def _cmd_involution_check(args):
     instances = []
     ok = True
     for idx in range(args.count):
         rng = random.Random(args.seed * 100003 + idx)
         kind = "plus" if idx % 2 == 0 else "minus"
-        theta = sample_involution(alg, rng, kind)
-        checks = involution_axiom_report(alg, theta)
+        theta = sample_involution(args.alg, rng, kind)
+        checks = involution_axiom_report(args.alg, theta)
         passed = all(checks.values())
         ok = ok and passed
         instances.append({
@@ -183,7 +225,6 @@ def _cmd_involution_check(args, c_vals, beta_vals):
             "pass": passed,
         })
     return _emit(args, {
-        "command": "involution-check",
         "config": _config_echo(args, {"count": args.count}),
         "instances": instances,
         "pass": ok,
@@ -191,38 +232,29 @@ def _cmd_involution_check(args, c_vals, beta_vals):
     }, 0 if ok else 1)
 
 
-def _cmd_verma_dims(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level)
-    hw = _weight_from_args(args, c_vals)
-    module = VermaModule(alg, hw, _sector_from(args, hw))
-    dims = [module.graded_dim(d) for d in range(max_level + 1)]
+def _cmd_verma_dims(args):
+    module = VermaModule(args.alg, args.hw, _sector_from(args))
+    dims = [module.graded_dim(d) for d in range(args.max_level + 1)]
     return _emit(args, {
-        "command": "verma-dims",
-        "config": _config_echo(args, {"maxLevel": max_level, "sector": args.sector}),
+        "config": _config_echo(args, {"maxLevel": args.max_level, "sector": args.sector}),
         "dims": dims,
         "rules": ["pbw-level-enumeration"],
     })
 
 
-def _cmd_gram(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    level = _guardrail(args, args.level)
-    hw = _weight_from_args(args, c_vals)
-    beta = _beta_from_args(args, beta_vals)
-    theta = AntiInvolution.plus(args.p, scalar(args.alpha), beta)
-    module = VermaModule(alg, hw, _sector_from(args, hw))
-    gm = gram(module, theta, level)
+def _cmd_gram(args):
+    theta = AntiInvolution.plus(args.p, scalar(args.alpha), args.beta)
+    module = VermaModule(args.alg, args.hw, _sector_from(args))
+    gm = gram(module, theta, args.level)
     if gm.is_hermitian():
         verdict = definiteness(gm).describe()
     else:
         # no contravariant Hermitian form exists for this weight and theta
         verdict = {"kind": "not-hermitian"}
     return _emit(args, {
-        "command": "gram",
-        "config": _config_echo(args, {"level": level, "weights": hw.describe(),
+        "config": _config_echo(args, {"level": args.level, "weights": args.hw.describe(),
                                       "alpha": args.alpha, "sector": args.sector,
-                                      "beta": [str(b) for b in beta]}),
+                                      "beta": [str(b) for b in args.beta]}),
         "basis": [m.text() for m in gm.basis],
         "entries": gm.to_strings(),
         "verdict": verdict,
@@ -230,48 +262,40 @@ def _cmd_gram(args, c_vals, beta_vals):
     })
 
 
-def _sector_from(args, hw):
+def _sector_from(args):
     if args.sector == "virasoro":
         return Sector.virasoro()
     if args.sector == "heisenberg":
-        return Sector.heisenberg(hw.j_set())
+        return Sector.heisenberg(args.hw.j_set())
     return Sector.full(args.p)
 
 
-def _cmd_reducibility(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level)
-    hw = _weight_from_args(args, c_vals)
-    module = VermaModule(alg, hw, _sector_from(args, hw))
-    report = reducibility_report(module, max_level, max_ab=args.max_ab)
+def _cmd_reducibility(args):
+    module = VermaModule(args.alg, args.hw, _sector_from(args))
+    report = reducibility_report(module, args.max_level, max_ab=args.max_ab)
     report.update({
-        "command": "reducibility",
-        "config": _config_echo(args, {"maxLevel": max_level, "maxAB": args.max_ab,
+        "config": _config_echo(args, {"maxLevel": args.max_level, "maxAB": args.max_ab,
                                       "sector": args.sector,
-                                      "weights": hw.describe()}),
+                                      "weights": args.hw.describe()}),
         "rules": ["singular-vector-search", "gram-kernel-scan",
                   "irreducibility-product-criterion"],
     })
     return _emit(args, report)
 
 
-def _cmd_sugawara_check(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level)
-    hw = _weight_from_args(args, c_vals)
-    osc = OscillatorModule(alg, hw)
+def _cmd_sugawara_check(args):
+    osc = OscillatorModule(args.alg, args.hw)
     checks = []
     ok = True
     for m in range(-args.mode_window, args.mode_window + 1):
         for n in range(-args.mode_window, args.mode_window + 1):
-            rep = virasoro_relation_check(alg, hw, m, n, max_level)
+            rep = virasoro_relation_check(args.alg, args.hw, m, n, args.max_level)
             ok = ok and rep["pass"]
             checks.append({k: rep[k] for k in ("m", "n", "maxLevel", "pass")})
     return _emit(args, {
-        "command": "sugawara-check",
-        "config": _config_echo(args, {"maxLevel": max_level,
+        "config": _config_echo(args, {"maxLevel": args.max_level,
                                       "modeWindow": args.mode_window,
-                                      "weights": hw.describe()}),
+                                      "weights": args.hw.describe()}),
         "relationChecks": checks,
         "centralCharge": osc.central_charge(),
         "deltaTermIndexSet": "J",
@@ -280,8 +304,7 @@ def _cmd_sugawara_check(args, c_vals, beta_vals):
     }, 0 if ok else 1)
 
 
-def _cmd_series_check(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
+def _cmd_series_check(args):
     if args.f_file:
         spec = _load_config(args.f_file)
         if spec.get("p") != args.p:
@@ -295,18 +318,16 @@ def _cmd_series_check(args, c_vals, beta_vals):
     else:
         raise GapVirError("series-check needs --f or --f-file")
     f = FMatrix.make(args.p, rows)
-    module = SeriesModule(alg, scalar(args.a), scalar(args.b), f, allow_invalid=True)
-    beta = _beta_from_args(args, beta_vals)
+    module = SeriesModule(args.alg, scalar(args.a), scalar(args.b), f, allow_invalid=True)
     axioms = module.axiom_check(args.window) if not module.violations else \
         {"pass": False, "witness": "skipped: invalid F"}
-    pred = series_predicates(module, beta)
+    pred = series_predicates(module, args.beta)
     ok = (not module.violations) and axioms["pass"]
     return _emit(args, {
-        "command": "series-check",
         "config": _config_echo(args, {"a": args.a, "b": args.b,
                                       "window": args.window,
                                       "f": f.to_strings(),
-                                      "beta": [str(b) for b in beta]}),
+                                      "beta": [str(b) for b in args.beta]}),
         "fValidation": module.violations,
         "axioms": axioms,
         "predicates": pred,
@@ -316,33 +337,25 @@ def _cmd_series_check(args, c_vals, beta_vals):
     }, 0 if ok else 1)
 
 
-def _cmd_unitary_check(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level)
-    hw = _weight_from_args(args, c_vals)
-    beta = _beta_from_args(args, beta_vals)
-    res = unitarity_verdict(alg, hw, beta, max_level, args.m_bound)
+def _cmd_unitary_check(args):
+    res = unitarity_verdict(args.alg, args.hw, args.beta, args.max_level, args.m_bound)
     res.update({
-        "command": "unitary-check",
-        "config": _config_echo(args, {"maxLevel": max_level, "mBound": args.m_bound,
-                                      "weights": hw.describe(),
-                                      "beta": [str(b) for b in beta]}),
+        "config": _config_echo(args, {"maxLevel": args.max_level, "mBound": args.m_bound,
+                                      "weights": args.hw.describe(),
+                                      "beta": [str(b) for b in args.beta]}),
         "rules": ["heisenberg-sector-positivity",
                   "continuum-or-discrete-series", "gram-psd-oracle"],
     })
     return _emit(args, res, 0 if res["agreement"] else 1)
 
 
-def _cmd_classify(args, c_vals, beta_vals):
+def _cmd_classify(args):
     descriptor = _load_config(args.input)
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level)
     if "beta" not in descriptor:
-        descriptor["beta"] = [str(b) for b in _beta_from_args(args, beta_vals)]
-    res = classify(alg, descriptor, max_level, args.m_bound)
+        descriptor["beta"] = [str(b) for b in args.beta]
+    res = classify(args.alg, descriptor, args.max_level, args.m_bound)
     res.update({
-        "command": "classify",
-        "config": _config_echo(args, {"maxLevel": max_level,
+        "config": _config_echo(args, {"maxLevel": args.max_level,
                                       "descriptor": descriptor}),
         "rules": ["intermediate-series-unitarity",
                   "highest-weight-unitarity", "lowest-weight-dual-twist"],
@@ -351,19 +364,14 @@ def _cmd_classify(args, c_vals, beta_vals):
     return _emit(args, res, 1 if disagree else 0)
 
 
-def _cmd_kac_scan(args, c_vals, beta_vals):
-    alg = GapVirasoro(args.p)
-    max_level = _guardrail(args, args.max_level * alg.p) // alg.p
+def _cmd_kac_scan(args):
     c_values = [scalar(tok) for tok in args.central.split(",")]
-    num, den = (int(v) for v in args.grid.split("/"))
-    if num < 0 or den < 1:
-        raise GapVirError("--grid num/den needs num >= 0 and den >= 1")
+    num, den = args.grid
     h_values = [Scalar(Fraction(k, den)) for k in range(num + 1)]
-    report = kac_scan(alg, c_values, h_values, max_level, args.max_ab)
+    report = kac_scan(args.alg, c_values, h_values, args.max_level, args.max_ab)
     report.update({
-        "command": "kac-scan",
-        "config": _config_echo(args, {"central": args.central, "grid": args.grid,
-                                      "maxLevel": max_level, "maxAB": args.max_ab}),
+        "config": _config_echo(args, {"central": args.central, "grid": "%d/%d" % args.grid,
+                                      "maxLevel": args.max_level, "maxAB": args.max_ab}),
         "rules": ["gram-factor-zero-set", "level-window-singular-search"],
     })
     return _emit(args, report, 0 if report["setsEqual"] else 1)
@@ -372,135 +380,114 @@ def _cmd_kac_scan(args, c_vals, beta_vals):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise GapVirError instead of exiting."""
+
+    def error(self, message):
+        raise GapVirError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapvir",
         description="Exact computations in gap-p Virasoro representation theory.")
     parser.add_argument("--version", action="version", version="gapvir " + __version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, weights=False):
-        sp.add_argument("--p", type=int, default=None, help="gap parameter p >= 2")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", dest="output_format", choices=("json", "text"),
-                        default=None)
-        sp.add_argument("--output", default=None, help="write the report to a file")
-        sp.add_argument("--config", default=None,
-                        help="JSON file with defaults for weights and beta")
-        if weights:
-            sp.add_argument("--l0", default=None, help="highest weight on L_0")
-            sp.add_argument("--c0", default=None, help="highest weight on C_0")
+    def command(name, handler, help, indexed=()):
+        """Add a subcommand with the shared flags; return the function adding its own.
 
-    sp = sub.add_parser("bracket", help="bracket of two algebra elements")
-    common(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(handler=_cmd_bracket)
+        ``indexed`` names the --cN / --betaN families it takes: "c" also adds
+        --l0 and --c0 and resolves ``args.hw``, "beta" resolves ``args.beta``.
+        """
+        sp = sub.add_parser(name, help=help)
+        settings = []
+        sp.set_defaults(handler=handler, settings=settings, indexed=indexed)
 
-    sp = sub.add_parser("involution-check", help="axiom checks on sampled involutions")
-    common(sp)
-    sp.add_argument("--count", type=int, default=20)
-    sp.set_defaults(handler=_cmd_involution_check)
+        def flag(name, default=None, kind=str, key=None, low=None, choices=None, level=None,
+                 **kw):
+            """Add a flag whose value ``_resolve`` takes from it, config[key] or default.
 
-    sp = sub.add_parser("verma-dims", help="graded dimensions by p-level")
-    common(sp, weights=True)
-    sp.add_argument("--max-level", type=int, default=None)
-    sp.set_defaults(max_level_default=10)
-    sp.add_argument("--sector", choices=("full", "virasoro", "heisenberg"),
-                    default="full")
-    sp.set_defaults(handler=_cmd_verma_dims)
+            ``level`` is "p-level" or "virasoro" for a level the guardrail bounds.
+            """
+            if choices:
+                kw["metavar"] = "{%s}" % ",".join(choices)
+            dest = sp.add_argument(name, **kw).dest
+            settings.append((dest, name, default, kind, key, low, choices, level))
 
-    sp = sub.add_parser("gram", help="contravariant Gram matrix at one level")
-    common(sp, weights=True)
-    sp.add_argument("--level", type=int, default=2)
-    sp.add_argument("--alpha", default="1")
-    sp.add_argument("--sector", choices=("full", "virasoro", "heisenberg"),
-                    default="full")
-    sp.set_defaults(handler=_cmd_gram)
+        flag("--p", 2, _int, "p", low=2, help="gap parameter p >= 2")
+        flag("--seed", 0, _int, "seed")
+        flag("--format", "json", key="outputFormat", choices=("json", "text"),
+             dest="output_format")
+        flag("--output", help="write the report to a file")
+        flag("--config", help="JSON file with defaults for weights and beta")
+        if "c" in indexed:
+            flag("--l0", help="highest weight on L_0")
+            flag("--c0", help="highest weight on C_0")
+        return flag
 
-    sp = sub.add_parser("reducibility", help="singular vectors and Gram kernels by level")
-    common(sp, weights=True)
-    sp.add_argument("--max-level", type=int, default=None)
-    sp.set_defaults(max_level_default=6)
-    sp.add_argument("--max-ab", type=int, default=4)
-    sp.add_argument("--sector", choices=("full", "virasoro", "heisenberg"),
-                    default="full")
-    sp.set_defaults(handler=_cmd_reducibility)
+    flag = command("bracket", _cmd_bracket, "bracket of two algebra elements")
+    flag("--x", required=True)
+    flag("--y", required=True)
 
-    sp = sub.add_parser("sugawara-check", help="Virasoro relations for the realized action")
-    common(sp, weights=True)
-    sp.add_argument("--max-level", type=int, default=None)
-    sp.set_defaults(max_level_default=8)
-    sp.add_argument("--mode-window", type=int, default=2)
-    sp.set_defaults(handler=_cmd_sugawara_check)
+    flag = command("involution-check", _cmd_involution_check,
+                   "axiom checks on sampled involutions")
+    flag("--count", 20, _int, low=0)
 
-    sp = sub.add_parser("series-check", help="intermediate-series axioms and predicates")
-    common(sp)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--f", default=None, help="inline JSON rows for F")
-    sp.add_argument("--f-file", default=None, help='JSON file {"p":..,"rows":[[..]]}')
-    sp.add_argument("--window", type=int, default=None)
-    sp.set_defaults(window_default=6)
-    sp.set_defaults(handler=_cmd_series_check)
+    flag = command("verma-dims", _cmd_verma_dims, "graded dimensions by p-level", ("c",))
+    flag("--max-level", 10, _int, "maxLevel", low=0, level="p-level")
+    flag("--sector", "full", choices=SECTORS)
 
-    sp = sub.add_parser("unitary-check", help="closed-form unitarity versus the Gram oracle")
-    common(sp, weights=True)
-    sp.add_argument("--max-level", type=int, default=None)
-    sp.set_defaults(max_level_default=6)
-    sp.add_argument("--m-bound", type=int, default=50)
-    sp.set_defaults(handler=_cmd_unitary_check)
+    flag = command("gram", _cmd_gram, "contravariant Gram matrix at one level", ("c", "beta"))
+    flag("--level", 2, _int, low=0, level="p-level")
+    flag("--alpha", "1")
+    flag("--sector", "full", choices=SECTORS)
 
-    sp = sub.add_parser("classify", help="route a module descriptor to its bucket")
-    common(sp)
-    sp.add_argument("--input", required=True, help="JSON module descriptor")
-    sp.add_argument("--max-level", type=int, default=None)
-    sp.set_defaults(max_level_default=6)
-    sp.add_argument("--m-bound", type=int, default=50)
-    sp.set_defaults(handler=_cmd_classify)
+    flag = command("reducibility", _cmd_reducibility,
+                   "singular vectors and Gram kernels by level", ("c",))
+    flag("--max-level", 6, _int, "maxLevel", low=0, level="p-level")
+    flag("--max-ab", 4, _int, low=0)
+    flag("--sector", "full", choices=SECTORS)
 
-    sp = sub.add_parser("kac-scan", help="closed-form zero set versus singular vectors")
-    common(sp)
-    sp.add_argument("--central", default="0,1/2,1,26",
-                    help="comma-separated central charges")
-    sp.add_argument("--grid", default="96/48",
-                    help="weight grid k/den for k = 0..num, written num/den")
-    sp.add_argument("--max-level", type=int, default=None,
-                    help="Virasoro level bound for the singular search")
-    sp.set_defaults(max_level_default=4)
-    sp.add_argument("--max-ab", type=int, default=4)
-    sp.set_defaults(handler=_cmd_kac_scan)
+    flag = command("sugawara-check", _cmd_sugawara_check,
+                   "Virasoro relations for the realized action", ("c",))
+    flag("--max-level", 8, _int, "maxLevel", low=0, level="p-level")
+    flag("--mode-window", 2, _int, low=0)
+
+    flag = command("series-check", _cmd_series_check,
+                   "intermediate-series axioms and predicates", ("beta",))
+    flag("--a", required=True)
+    flag("--b", required=True)
+    flag("--f", help="inline JSON rows for F")
+    flag("--f-file", help='JSON file {"p":..,"rows":[[..]]}')
+    flag("--window", 6, _int, "window", low=0)
+
+    flag = command("unitary-check", _cmd_unitary_check,
+                   "closed-form unitarity versus the Gram oracle", ("c", "beta"))
+    flag("--max-level", 6, _int, "maxLevel", low=0, level="p-level")
+    flag("--m-bound", 50, _int, low=2)
+
+    flag = command("classify", _cmd_classify, "route a module descriptor to its bucket",
+                   ("beta",))
+    flag("--input", required=True, help="JSON module descriptor")
+    flag("--max-level", 6, _int, "maxLevel", low=0, level="p-level")
+    flag("--m-bound", 50, _int, low=2)
+
+    flag = command("kac-scan", _cmd_kac_scan, "closed-form zero set versus singular vectors")
+    flag("--central", "0,1/2,1,26", help="comma-separated central charges")
+    flag("--grid", "96/48", _grid, help="weight grid k/den for k = 0..num, written num/den")
+    flag("--max-level", 4, _int, "maxLevel", low=0, level="virasoro",
+         help="Virasoro level bound for the singular search")
+    flag("--max-ab", 4, _int, low=0)
 
     return parser
 
 
-def _apply_config_defaults(args):
-    """Fill unset flags from the config file, then from built-in defaults; check ranges."""
-    cfg = args.config_data
-    if args.p is None:
-        args.p = int(cfg.get("p", 2))
-    if args.seed is None:
-        args.seed = int(cfg.get("seed", 0))
-    if args.output_format is None:
-        args.output_format = cfg.get("outputFormat", "json")
-    if getattr(args, "max_level", None) is None and hasattr(args, "max_level"):
-        args.max_level = int(cfg.get("maxLevel", args.max_level_default))
-    if getattr(args, "window", None) is None and hasattr(args, "window"):
-        args.window = int(cfg.get("window", args.window_default))
-    for name, low in (("count", 0), ("window", 0), ("mode_window", 0), ("max_ab", 0),
-                      ("m_bound", 2)):
-        if getattr(args, name, low) < low:
-            raise GapVirError("--%s must be at least %d" % (name.replace("_", "-"), low))
-
-
 def main(argv=None):
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
-        c_vals, beta_vals = _collect_dynamic(extras)
-        args.config_data = _load_config(args.config) if args.config else {}
-        _apply_config_defaults(args)
-        return args.handler(args, c_vals, beta_vals)
+        args, extras = build_parser().parse_known_args(argv)
+        _resolve(args, extras)
+        return args.handler(args)
     except (GapVirError, ZeroDivisionError, OSError, ValueError) as exc:
         sys.stderr.write("gapvir: %s\n" % exc)
         return 2

@@ -249,10 +249,23 @@ def test_console_entry_point_runs():
     ({}, ["kac-scan", "--max-ab", "-1"]),
     ({}, ["kac-scan", "--grid=-4/2"]),
     ({}, ["unitary-check", "--m-bound", "1"]),
+    ({}, ["verma-dims", "--p", "x"]),
+    ({}, ["verma-dims", "--sector", "bogus"]),
+    ({}, ["bracket", "--p", "2"]),
+    ({}, ["bogus"]),
+    ({}, ["gram", "--p", "2", "--c5", "1"]),
+    ({}, ["gram", "--p", "2", "--beta5", "2"]),
+    ({}, ["unitary-check", "--p", "3", "--c1", "1", "--c2", "4"]),
+    ({"run.json": {"p": 3, "weights": {"c7": "1"}}}, ["unitary-check", "--config", "run.json"]),
+    ({"run.json": {"p": 2, "outputFormat": "xml"}},
+     ["bracket", "--config", "run.json", "--x", "L[1]", "--y", "L[-1]"]),
 ], ids=["config-list", "config-weights-list", "config-beta-list", "f-file-list", "f-file-no-rows",
         "f-flat-list", "descriptor-no-f", "negative-max-level", "negative-dims-level",
         "negative-kac-level", "negative-count", "negative-window", "negative-mode-window",
-        "negative-max-ab", "negative-kac-max-ab", "negative-grid", "m-bound-below-2"])
+        "negative-max-ab", "negative-kac-max-ab", "negative-grid", "m-bound-below-2",
+        "p-not-an-integer", "sector-not-a-choice", "bracket-without-x-y", "unknown-subcommand",
+        "c-index-above-p", "beta-index-above-p", "c-alias-conflict", "config-c-index-above-p",
+        "config-format-not-a-choice"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -262,3 +275,20 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, fi
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("gapvir: ") and captured.err.count("\n") == 1
+
+
+def test_kac_scan_errors_name_the_flag_and_value_given(capsys):
+    # the guardrail bounds the p-level 26, but the message names what was typed
+    for argv, named in ((["--max-level", "13"], "--max-level 13"),
+                        (["--max-level", "-1"], "--max-level -1"),
+                        (["--grid", "4"], "--grid 4")):
+        assert main(["kac-scan", "--p", "2"] + argv) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_version_and_help_exit_zero(capsys):
+    for argv in (["--version"], ["--help"], ["verma-dims", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(("gapvir ", "usage: gapvir"))
