@@ -209,7 +209,9 @@ class AntiInvolution:
 
 
 def check_beta(p, beta):
-    """Coerce p-1 involution parameters with conj(beta_i) beta_{p-i} = 1, or raise."""
+    """Coerce a list of p-1 involution parameters with conj(beta_i) beta_{p-i} = 1, or raise."""
+    if not isinstance(beta, (list, tuple)):
+        raise ConfigError("beta must be a list of %d values" % (p - 1))
     beta = [scalar(b) for b in beta]
     if len(beta) != p - 1:
         raise ConfigError("need %d beta values" % (p - 1))
@@ -314,20 +316,15 @@ class GapVirasoro:
     def chevalley(self, x):
         """Order-two linear automorphism exchanging raising and lowering parts.
 
-        L_n -> -L_{-n}, I_n^i -> -I_{-n-1}^{p-i}, C_j -> -C_j.  The I-mode
-        shift mirrors the one in the plus-type anti-involutions; it is the
-        unique choice compatible with the mixed bracket, since I_{-n-1}^{p-i}
-        is the basis label of weight opposite to I_n^i.
+        L_n -> -L_{-n}, I_n^i -> -I_{-n-1}^{p-i}, C_j -> -C_j.  The labels
+        are those of the plus-type anti-involution with alpha = beta_i = 1; its
+        I-mode shift is the unique choice compatible with the mixed bracket,
+        since I_{-n-1}^{p-i} is the basis label of weight opposite to I_n^i.
         """
+        theta = AntiInvolution.plus(self.p)
         acc = {}
         for g, c in x.terms.items():
-            if g.kind == KIND_L:
-                h = self.L(-g.n)
-            elif g.kind == KIND_I:
-                h = self.I(-g.n - 1, self.p - g.i)
-            else:
-                h = g
-            add_term(acc, h, -c)
+            add_term(acc, theta.image_of(g)[0], -c)
         return Element(self.p, acc)
 
     # -- text ------------------------------------------------------------

@@ -25,13 +25,13 @@ from fractions import Fraction
 from . import __version__
 from .algebra import (AntiInvolution, GapVirasoro, involution_axiom_report,
                       sample_involution)
-from .errors import ConfigError, GapVirError
+from .errors import ConfigError, GapVirError, GramIntegrityError
 from .forms import definiteness, gram, kac_scan, reducibility_report
 from .oscillator import OscillatorModule, virasoro_relation_check
 from .scalars import Scalar, scalar
 from .series import FMatrix, SeriesModule, series_predicates
 from .unitarity import classify, unitarity_verdict
-from .verma import HighestWeight, Sector, VermaModule
+from .verma import HighestWeight, Sector, VermaModule, indexed_values
 
 SCHEMA = "gapvir/1"
 DEFAULT_MAX_LEVEL_GUARD = 24
@@ -112,18 +112,6 @@ def _collect_dynamic(extras, families):
     return given
 
 
-def _indexed(p, given, config, key, prefix, first, last, fill, extra=()):
-    """Values of extra + prefix<first>..prefix<last>: the flag, else config[key], else fill."""
-    from_config = _config_object(config, key)
-    names = list(extra) + ["%s%d" % (prefix, i) for i in range(first, last + 1)]
-    for name in list(given) + list(from_config):
-        if name not in names:
-            where = "--" + name if name in given else "config %s key %r" % (key, name)
-            raise GapVirError("%s is out of range: p=%d allows --%s%d..--%s%d"
-                              % (where, p, prefix, first, prefix, last))
-    return [given.get(n, from_config.get(n, fill)) for n in names]
-
-
 def _int(text):
     try:
         return int(text)
@@ -179,11 +167,12 @@ def _resolve(args, extras):
     if "c" in args.indexed:
         flags = {"l0": args.l0, "c0": args.c0}
         given["c"].update((n, v) for n, v in flags.items() if v is not None)
-        l0, *central = _indexed(p, given["c"], config, "weights", "c", 0, p // 2, "0", ("l0",))
-        args.hw = HighestWeight.make(p, l0, central)
+        args.hw = HighestWeight.read(p, _config_object(config, "weights"), "config weights",
+                                     given["c"])
     if "beta" in args.indexed:
-        args.beta = [scalar(v) for v in
-                     _indexed(p, given["beta"], config, "beta", "beta", 1, p - 1, "1")]
+        args.beta = [scalar(v) for v in indexed_values(
+            p, _config_object(config, "beta"), "config beta", "beta", 1, p - 1, "1",
+            given=given["beta"])]
 
 
 def _config_echo(args, extra=None):
@@ -246,9 +235,9 @@ def _cmd_gram(args):
     theta = AntiInvolution.plus(args.p, scalar(args.alpha), args.beta)
     module = VermaModule(args.alg, args.hw, _sector_from(args))
     gm = gram(module, theta, args.level)
-    if gm.is_hermitian():
+    try:
         verdict = definiteness(gm).describe()
-    else:
+    except GramIntegrityError:
         # no contravariant Hermitian form exists for this weight and theta
         verdict = {"kind": "not-hermitian"}
     return _emit(args, {
@@ -338,9 +327,9 @@ def _cmd_series_check(args):
 
 
 def _cmd_unitary_check(args):
-    res = unitarity_verdict(args.alg, args.hw, args.beta, args.max_level, args.m_bound)
+    res = unitarity_verdict(args.alg, args.hw, args.beta, args.max_level)
     res.update({
-        "config": _config_echo(args, {"maxLevel": args.max_level, "mBound": args.m_bound,
+        "config": _config_echo(args, {"maxLevel": args.max_level,
                                       "weights": args.hw.describe(),
                                       "beta": [str(b) for b in args.beta]}),
         "rules": ["heisenberg-sector-positivity",
@@ -353,7 +342,7 @@ def _cmd_classify(args):
     descriptor = _load_config(args.input)
     if "beta" not in descriptor:
         descriptor["beta"] = [str(b) for b in args.beta]
-    res = classify(args.alg, descriptor, args.max_level, args.m_bound)
+    res = classify(args.alg, descriptor, args.max_level)
     res.update({
         "config": _config_echo(args, {"maxLevel": args.max_level,
                                       "descriptor": descriptor}),
@@ -465,13 +454,11 @@ def build_parser():
     flag = command("unitary-check", _cmd_unitary_check,
                    "closed-form unitarity versus the Gram oracle", ("c", "beta"))
     flag("--max-level", 6, _int, "maxLevel", low=0, level="p-level")
-    flag("--m-bound", 50, _int, low=2)
 
     flag = command("classify", _cmd_classify, "route a module descriptor to its bucket",
                    ("beta",))
     flag("--input", required=True, help="JSON module descriptor")
     flag("--max-level", 6, _int, "maxLevel", low=0, level="p-level")
-    flag("--m-bound", 50, _int, low=2)
 
     flag = command("kac-scan", _cmd_kac_scan, "closed-form zero set versus singular vectors")
     flag("--central", "0,1/2,1,26", help="comma-separated central charges")

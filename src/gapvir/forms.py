@@ -32,6 +32,7 @@ from fractions import Fraction
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import working_copy
+from .oscillator import gap_weight_sum
 from .scalars import ONE, ZERO, Scalar, scalar
 from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule
 
@@ -66,9 +67,13 @@ class GramMatrix:
 @dataclass
 class DefinitenessVerdict:
     kind: str
-    kernel_dim: int = 0
     witness: tuple = ()
     inertia: tuple = (0, 0, 0)
+
+    @property
+    def kernel_dim(self):
+        """Sylvester: the zero-pivot count is the kernel dimension."""
+        return self.inertia[2]
 
     def describe(self):
         out = {"kind": self.kind, "kernelDim": self.kernel_dim,
@@ -221,12 +226,10 @@ def definiteness(g):
                     row[c] = row[c] - corr
     inertia = (n_pos, n_neg, n_zero)
     if n_neg == 0:
-        if n_zero == 0:
-            return DefinitenessVerdict(PD, 0, (), inertia)
-        return DefinitenessVerdict(PSD_SINGULAR, n_zero, (), inertia)
+        return DefinitenessVerdict(PSD_SINGULAR if n_zero else PD, (), inertia)
     if n_pos == 0:
-        return DefinitenessVerdict(NEGATIVE, n_zero, (), inertia)
-    return DefinitenessVerdict(INDEFINITE, n_zero, witness, inertia)
+        return DefinitenessVerdict(NEGATIVE, (), inertia)
+    return DefinitenessVerdict(INDEFINITE, witness, inertia)
 
 
 # -- closed-form Gram factors -----------------------------------------------
@@ -244,8 +247,7 @@ def phi_virasoro(h, c, a, b):
 def phi_gap(hw, a, b):
     """The linear factor of the gap-p irreducibility criterion at (a, b)."""
     p = hw.p
-    gap_sum = sum(Fraction(j * (p - j), p * p) for j in range(1, p))
-    val = 4 * hw.l0 - Scalar(gap_sum)
+    val = 4 * hw.l0 - 4 * gap_weight_sum(p, range(1, p))
     val = val + Scalar(Fraction(a * a - 1, 6)) * (hw.c_value(0) - (p + 12))
     return val + Scalar(2 * (a * b - 1))
 
@@ -292,7 +294,7 @@ def reducibility_report(module, max_level, max_ab=None):
         entry["singular"] = sing
         if use_gram:
             verdict = definiteness(gram(module, theta, d))
-            entry["gramKernel"] = verdict.inertia[2]  # Sylvester: zero pivots = kernel dimension
+            entry["gramKernel"] = verdict.kernel_dim
             entry["verdict"] = verdict.kind
         else:
             entry["gramKernel"] = None

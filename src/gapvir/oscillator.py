@@ -122,27 +122,3 @@ def virasoro_relation_check(alg, hw, m, n, max_level):
         "pass": not failures,
         "failures": failures,
     }
-
-
-def mixed_relation_check(alg, hw, m, n, i, max_level, osc=None):
-    """Check [L_m, I_n^i] = -(n + i/p) I_{m+n}^i on the realized module."""
-    if osc is None:
-        osc = OscillatorModule(alg, hw)
-    p = alg.p
-    coeff = Scalar(-Fraction(n * p + i, p))
-    for d in range(0, max_level + 1):
-        for mono in osc.fock.pbw_basis(d):
-            x = osc.fock.basis_vector(mono)
-            gi = alg.I(n, i)
-            lhs = osc.sugawara_l(m, osc.act(gi, x)) - osc.act(gi, osc.sugawara_l(m, x))
-            rhs = coeff * osc.act(alg.I(m + n, i), x)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def fock_singular_vectors(osc, d, max_mode=3):
-    """Heisenberg-only singular vector search at one p-level."""
-    raising = [osc.alg.I(n, i) for n in range(0, max_mode + 1)
-               for i in sorted(osc.j_set)]
-    return osc.fock.singular_vectors(d, raising=raising)

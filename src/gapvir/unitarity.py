@@ -12,7 +12,8 @@ or an exact hit on a discrete-series point
     phi(C_0) = |J| + 1 - 6/(m(m+1)),
     phi(L_0) = sum_j j(p-j)/(4p^2) + ((m r + s)^2 - 1)/(4 m (m+1)),
 
-for some m >= 2 and 0 <= r < s < m.  The Heisenberg clause is computed in two
+for some m >= 2 and 0 <= r < s < m, which discrete_series_match solves for
+exactly, every m included.  The Heisenberg clause is computed in two
 variants: the literal "real and nonzero" reading and the strict "positive"
 reading.  Level-one Gram diagonals equal (i/p) beta_i phi(C_i), so the
 brute-force Gram oracle settles which variant the form itself enforces; the
@@ -21,6 +22,7 @@ flagged.
 """
 
 from fractions import Fraction
+from math import floor, isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
@@ -45,13 +47,18 @@ def heisenberg_condition(hw, beta):
     return out
 
 
+def _series_c0(j_set, m):
+    """phi(C_0) on the discrete series with parameter m."""
+    return Scalar(len(j_set) + 1 - Fraction(6, m * (m + 1)))
+
+
 def discrete_series(p, j_set, m):
     """All discrete-series weight points for one m >= 2."""
     if m < 2:
         raise ConfigError("discrete series needs m >= 2")
     j_set = frozenset(j_set)
     base_l0 = gap_weight_sum(p, j_set)
-    c0 = Scalar(len(j_set) + 1 - Fraction(6, m * (m + 1)))
+    c0 = _series_c0(j_set, m)
     points = []
     for r in range(m):
         for s in range(r + 1, m):
@@ -60,20 +67,27 @@ def discrete_series(p, j_set, m):
     return points
 
 
-def discrete_series_match(hw, m_bound=50):
-    """Exact discrete-series hit for a weight, or None. Rational weights only."""
-    j_set = hw.j_set()
-    for m in range(2, m_bound + 1):
-        c0 = Scalar(len(j_set) + 1 - Fraction(6, m * (m + 1)))
-        if hw.c_value(0) != c0:
-            continue
-        for point in discrete_series(hw.p, j_set, m):
-            if point["l0"] == hw.l0:
-                return {"m": m, "r": point["r"], "s": point["s"]}
-    return None
+def discrete_series_match(hw):
+    """Exact discrete-series hit for a weight, or None; a complex weight never hits.
+
+    N = m(m+1) = 6/(|J| + 1 - phi(C_0)) fixes m, then k = m r + s is fixed by
+    k^2 = 4N(phi(L_0) - sum_j j(p-j)/(4p^2)) + 1.  Integer square roots give
+    the only candidates, and each counts only if its equation holds exactly.
+    """
+    j_set, c0, l0 = hw.j_set(), hw.c_value(0), hw.l0
+    deficit = len(j_set) + 1 - c0.re
+    if not (c0.is_real() and l0.is_real()) or deficit <= 0:
+        return None
+    m = (isqrt(floor(24 / deficit + 1)) - 1) // 2  # 4N + 1 = (2m + 1)^2
+    square = 4 * m * (m + 1) * (l0 - gap_weight_sum(hw.p, j_set)).re + 1
+    if m < 2 or _series_c0(j_set, m) != c0 or square < 0:
+        return None
+    k = isqrt(floor(square))
+    r, s = divmod(k, m)
+    return {"m": m, "r": r, "s": s} if k * k == square and r < s else None
 
 
-def highest_weight_unitary(hw, beta, m_bound=50):
+def highest_weight_unitary(hw, beta):
     """Closed-form unitarity verdict with both Heisenberg-clause variants."""
     heis = heisenberg_condition(hw, beta)
     clause1_literal = all(rec["realNonzero"] for rec in heis.values())
@@ -87,7 +101,7 @@ def highest_weight_unitary(hw, beta, m_bound=50):
         floor_c0 = Scalar(len(hw.j_set()) + 1)
         floor_l0 = gap_weight_sum(hw.p, hw.j_set())
         continuum = (hw.c_value(0).re >= floor_c0.re and hw.l0.re >= floor_l0.re)
-        discrete = discrete_series_match(hw, m_bound)
+        discrete = discrete_series_match(hw)
     else:
         note = "complex L_0 or C_0: the order conditions do not apply"
     clause2 = continuum or discrete is not None
@@ -133,9 +147,9 @@ def oracle_is_psd(levels):
     return all(e["verdict"] in (PD, PSD_SINGULAR) for e in levels)
 
 
-def unitarity_verdict(alg, hw, beta, max_level, m_bound=50):
+def unitarity_verdict(alg, hw, beta, max_level):
     """Closed form plus oracle plus their agreement, bundled for reports."""
-    closed = highest_weight_unitary(hw, beta, m_bound)
+    closed = highest_weight_unitary(hw, beta)
     oracle = unitarity_oracle(alg, hw, beta, max_level)
     agreement = closed["closedForm"] == oracle_is_psd(oracle)
     return {
@@ -158,15 +172,13 @@ def lowest_weight_dualize(lw, beta):
     return dual, tuple(reversed(beta))
 
 
-def classify(alg, descriptor, max_level=6, m_bound=50):
+def classify(alg, descriptor, max_level=6):
     """Route a module descriptor to its bucket of the unitary classification.
 
     Buckets: 1 = intermediate series, 2 = highest weight, 3 = lowest weight.
     """
     kind = descriptor.get("type")
-    beta = descriptor.get("beta")
-    if beta is None:
-        raise ConfigError("descriptor needs a beta list")
+    beta = descriptor.get("beta")  # check_beta rejects a missing or non-list beta
     if kind == "intermediate-series":
         missing = [k for k in ("a", "b", "f") if k not in descriptor]
         if missing:
@@ -190,13 +202,13 @@ def classify(alg, descriptor, max_level=6, m_bound=50):
         }
     if kind == "highest-weight":
         hw = _weight_from(descriptor, alg.p)
-        res = unitarity_verdict(alg, hw, beta, max_level, m_bound)
+        res = unitarity_verdict(alg, hw, beta, max_level)
         res["bucket"] = 2 if res["verdict"] == "unitary" else None
         return res
     if kind == "lowest-weight":
         lw = _weight_from(descriptor, alg.p)
         dual, dual_beta = lowest_weight_dualize(lw, beta)
-        res = unitarity_verdict(alg, dual, dual_beta, max_level, m_bound)
+        res = unitarity_verdict(alg, dual, dual_beta, max_level)
         res["bucket"] = 3 if res["verdict"] == "unitary" else None
         res["dualWeight"] = dual.describe()
         return res
@@ -205,5 +217,5 @@ def classify(alg, descriptor, max_level=6, m_bound=50):
 
 
 def _weight_from(descriptor, p):
-    c_values = [descriptor.get("c%d" % j, 0) for j in range(p // 2 + 1)]
-    return HighestWeight.make(p, descriptor.get("l0", 0), c_values)
+    found = {k: v for k, v in descriptor.items() if k not in ("type", "beta")}
+    return HighestWeight.read(p, found, "descriptor")

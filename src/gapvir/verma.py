@@ -21,7 +21,7 @@ are memoized per module, keyed by (generator, monomial).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import KIND_C, KIND_I, KIND_L, Combination, Element, Gen, add_term
+from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
 from .errors import ConfigError
 from .linalg import nullspace
 from .scalars import ONE, ZERO, Scalar, scalar
@@ -128,6 +128,12 @@ class HighestWeight:
     def make(cls, p, l0, c_values):
         return cls(p, scalar(l0), tuple(scalar(v) for v in c_values))
 
+    @classmethod
+    def read(cls, p, found, source, given=None):
+        """The weight named by l0, c0..c_{p//2} in given flags, else in found; 0 if absent."""
+        l0, *central = indexed_values(p, found, source, "c", 0, p // 2, "0", ("l0",), given)
+        return cls.make(p, l0, central)
+
     def c_value(self, j):
         """phi(C_j) for 0 <= j <= p-1, through the alias C_j = C_{p-j}."""
         return self.c[min(j, self.p - j)]
@@ -144,6 +150,18 @@ class HighestWeight:
         for j, v in enumerate(self.c):
             out["c%d" % j] = str(v)
         return out
+
+
+def indexed_values(p, found, source, prefix, first, last, fill, extra=(), given=None):
+    """Values of extra + prefix<first>..prefix<last>: the flag, else found[name], else fill."""
+    given = given or {}
+    names = list(extra) + ["%s%d" % (prefix, i) for i in range(first, last + 1)]
+    for name in list(given) + list(found):
+        if name not in names:
+            where = "--" + name if name in given else "%s key %r" % (source, name)
+            raise ConfigError("%s is out of range: p=%d allows --%s%d..--%s%d"
+                              % (where, p, prefix, first, prefix, last))
+    return [given.get(n, found.get(n, fill)) for n in names]
 
 
 class ModuleVector(Combination):
@@ -241,13 +259,6 @@ class VermaModule:
                 add_term(out, m2, c * c2)
         return ModuleVector(self, out)
 
-    def act_element(self, x, vec):
-        """Action of an algebra element, extended linearly."""
-        out = ModuleVector(self)
-        for g, c in x.terms.items():
-            out = out + c * self.act(g, vec)
-        return out
-
     def act_gen(self, g, mono):
         """Straightened action of one generator on one monomial, memoized."""
         key = (g, mono)
@@ -302,25 +313,27 @@ class VermaModule:
 
     # -- raising structure ---------------------------------------------
 
-    def raising_set(self):
-        """Finite generating set of the raising subalgebra for this sector."""
-        gens = []
-        if self.sector.include_l:
-            gens += [self.alg.L(1), self.alg.L(2)]
-        gens += [self.alg.I(0, i) for i in sorted(self.sector.i_indices)]
-        return gens
+    def raising_set(self, d):
+        """Raising generators whose joint kernel at p-level d is the singular space.
 
-    def singular_vectors(self, d, raising=None):
+        With L, {L_1, L_2, I_0^i} (L_1 shifts I-modes up); an L-free sector
+        needs each I_n^i that can act at level d, so n p + i <= d.
+        """
+        i_indices = sorted(self.sector.i_indices)
+        if self.sector.include_l:
+            return [self.alg.L(1), self.alg.L(2)] + [self.alg.I(0, i) for i in i_indices]
+        return [self.alg.I(n, i) for n in range(d // self.alg.p + 1) for i in i_indices]
+
+    def singular_vectors(self, d):
         """Exact basis of level-d vectors killed by the raising set."""
         if d < 1:
             raise ConfigError("singular vectors live at p-level >= 1")
         basis = self.pbw_basis(d)
         if not basis:
             return []
-        gens = raising if raising is not None else self.raising_set()
         p = self.alg.p
         rows = []
-        for g in gens:
+        for g in self.raising_set(d):
             shift = -self.alg.weight_of(g) * p  # positive drop in p-level
             target = d - int(shift)
             if target < 0:
@@ -334,12 +347,6 @@ class VermaModule:
         sols = nullspace(rows, len(basis))
         return [ModuleVector(self, {m: c for m, c in zip(basis, sol) if c})
                 for sol in sols]
-
-    def commutator_defect(self, g1, g2, vec):
-        """act(g1)act(g2) - act(g2)act(g1) - act([g1,g2]) applied to vec."""
-        lhs = self.act(g1, self.act(g2, vec)) - self.act(g2, self.act(g1, vec))
-        br = Element(self.alg.p, dict(self.alg.bracket_gens(g1, g2)))
-        return lhs - self.act_element(br, vec)
 
 
 def partition_count(n, cache={0: 1}):

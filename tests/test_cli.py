@@ -248,7 +248,7 @@ def test_console_entry_point_runs():
     ({}, ["reducibility", "--max-ab", "-1"]),
     ({}, ["kac-scan", "--max-ab", "-1"]),
     ({}, ["kac-scan", "--grid=-4/2"]),
-    ({}, ["unitary-check", "--m-bound", "1"]),
+    ({}, ["unitary-check", "--m-bound", "60"]),
     ({}, ["verma-dims", "--p", "x"]),
     ({}, ["verma-dims", "--sector", "bogus"]),
     ({}, ["bracket", "--p", "2"]),
@@ -259,13 +259,20 @@ def test_console_entry_point_runs():
     ({"run.json": {"p": 3, "weights": {"c7": "1"}}}, ["unitary-check", "--config", "run.json"]),
     ({"run.json": {"p": 2, "outputFormat": "xml"}},
      ["bracket", "--config", "run.json", "--x", "L[1]", "--y", "L[-1]"]),
+    ({"d.json": {"type": "highest-weight", "l0": "1/16", "c0": "2", "c1": "1", "c7": "1",
+                 "beta": ["1"]}}, ["classify", "--p", "2", "--input", "d.json"]),
+    ({"d.json": {"type": "lowest-weight", "l0": "-1/16", "c0": "-2", "c1": "-1", "c7": "1",
+                 "beta": ["1"]}}, ["classify", "--p", "2", "--input", "d.json"]),
+    ({"d.json": {"type": "highest-weight", "l0": "1/16", "c0": "2", "c1": "1", "beta": "1"}},
+     ["classify", "--p", "2", "--input", "d.json"]),
 ], ids=["config-list", "config-weights-list", "config-beta-list", "f-file-list", "f-file-no-rows",
         "f-flat-list", "descriptor-no-f", "negative-max-level", "negative-dims-level",
         "negative-kac-level", "negative-count", "negative-window", "negative-mode-window",
-        "negative-max-ab", "negative-kac-max-ab", "negative-grid", "m-bound-below-2",
+        "negative-max-ab", "negative-kac-max-ab", "negative-grid", "m-bound-removed",
         "p-not-an-integer", "sector-not-a-choice", "bracket-without-x-y", "unknown-subcommand",
         "c-index-above-p", "beta-index-above-p", "c-alias-conflict", "config-c-index-above-p",
-        "config-format-not-a-choice"])
+        "config-format-not-a-choice", "descriptor-c-index-above-p",
+        "lowest-descriptor-c-index-above-p", "descriptor-beta-not-a-list"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():

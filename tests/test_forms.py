@@ -290,6 +290,19 @@ def test_reducibility_routes_agree_at_first_level():
                 assert entry["gramKernel"] == entry["singular"]
 
 
+@pytest.mark.parametrize("p, central", [(2, ["1", "1"]), (2, ["1", "-1"]), (3, ["1", "2"]),
+                                        (4, ["1", "0", "1"]), (4, ["1", "1", "0"])])
+def test_reducibility_heisenberg_sector_routes_agree_at_every_level(p, central):
+    # an L-free sector has no L_1 to shift I-modes up, so its raising set must
+    # list them all; then both routes find the irreducible Fock module
+    alg = GapVirasoro(p)
+    hw = HighestWeight.make(p, "0", central)
+    report = reducibility_report(VermaModule(alg, hw, Sector.heisenberg(hw.j_set())), 8)
+    for entry in report["levels"]:
+        assert entry["singular"] == entry["gramKernel"] == 0, entry
+    assert report["firstSingularLevel"] is None
+
+
 def test_reducibility_cross_checks_criterion_zero_set():
     # for full-J real weights, a singular vector in the level window matches
     # a zero of the combined criterion in the aligned index window

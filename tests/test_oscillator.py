@@ -5,11 +5,27 @@ import pytest
 
 from gapvir.algebra import GapVirasoro
 from gapvir.errors import ConfigError
-from gapvir.oscillator import (OscillatorModule, fock_singular_vectors,
-                               gap_weight_sum, mixed_relation_check,
-                               shifted_weight, virasoro_relation_check)
+from gapvir.oscillator import (OscillatorModule, gap_weight_sum, shifted_weight,
+                               virasoro_relation_check)
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight
+
+
+def mixed_relation_check(alg, hw, m, n, i, max_level, osc=None):
+    """Check [L_m, I_n^i] = -(n + i/p) I_{m+n}^i on the realized module."""
+    if osc is None:
+        osc = OscillatorModule(alg, hw)
+    p = alg.p
+    coeff = Scalar(-Fraction(n * p + i, p))
+    for d in range(0, max_level + 1):
+        for mono in osc.fock.pbw_basis(d):
+            x = osc.fock.basis_vector(mono)
+            gi = alg.I(n, i)
+            lhs = osc.sugawara_l(m, osc.act(gi, x)) - osc.act(gi, osc.sugawara_l(m, x))
+            rhs = coeff * osc.act(alg.I(m + n, i), x)
+            if lhs != rhs:
+                return False
+    return True
 
 
 def osc_p2(c1="1", l0="1/16", c0="2"):
@@ -122,12 +138,13 @@ def test_gap_weight_sum():
 
 
 @pytest.mark.parametrize("p,cvals", [(2, ["0", "1"]), (2, ["0", "-1"]),
-                                     (3, ["0", "2"])])
+                                     (3, ["0", "2"]), (4, ["0", "0", "1"])])
 def test_fock_module_has_no_singular_vectors(p, cvals):
+    # the Fock sector with phi(C_i) != 0 on its J is irreducible, partial J included
     alg = GapVirasoro(p)
     osc = OscillatorModule(alg, HighestWeight.make(p, "0", cvals))
-    for d in range(1, 9):
-        assert fock_singular_vectors(osc, d) == []
+    for d in range(1, 11):
+        assert osc.fock.singular_vectors(d) == []
 
 
 def test_fock_realization_requires_nonempty_j():

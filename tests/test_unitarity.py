@@ -1,9 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.errors import ConfigError
 from gapvir.forms import pairing
-from gapvir.oscillator import shifted_weight, sugawara_sum
+from gapvir.oscillator import gap_weight_sum, shifted_weight, sugawara_sum
 from gapvir.scalars import Scalar, scalar
 from gapvir.unitarity import (classify, discrete_series, discrete_series_match,
                               heisenberg_condition, highest_weight_unitary,
@@ -73,6 +76,35 @@ def test_closed_form_off_list_probe():
 def test_discrete_match_requires_exact_equality():
     assert discrete_series_match(hw2("1/8", "3/2")) == {"m": 3, "r": 0, "s": 2}
     assert discrete_series_match(hw2("1/8", "1501/1000")) is None
+    # near misses: C_0 off by 1/7, L_0 off by 1/9, a complex C_0 or L_0
+    assert discrete_series_match(hw2("1/16", str(Fraction(3, 2) + Fraction(1, 7)))) is None
+    assert discrete_series_match(hw2(str(Fraction(1, 16) + Fraction(1, 9)), "3/2")) is None
+    assert discrete_series_match(hw2("1/16", "3/2+1/5*i")) is None
+    assert discrete_series_match(hw2("1/16+1/5*i", "3/2")) is None
+    # 2 - 6/7 gives N = 7, not of the form m(m+1)
+    assert discrete_series_match(hw2("1/16", str(2 - Fraction(6, 7)))) is None
+    # N = 6 (m = 2) has only (r, s) = (0, 1); k = 2 would give s = 0
+    assert discrete_series_match(hw2(str(Fraction(1, 16) + Fraction(3, 24)), "1")) is None
+    # at or above the continuum floor there is no discrete point
+    assert discrete_series_match(hw2("1/16", "2")) is None
+    assert discrete_series_match(hw2("1/16", "5")) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_exact_match_finds_every_listed_point(p):
+    # every J at p: each listed point for m = 2..12, 51 and 60, and the corner
+    # points at m = 1000, far beyond any search bound
+    for mask in itertools.product(["0", "1"], repeat=p // 2):
+        j_set = HighestWeight.make(p, "0", ["0", *mask]).j_set()
+        points = [pt for m in [*range(2, 13), 51, 60] for pt in discrete_series(p, j_set, m)]
+        c0 = Scalar(len(j_set) + 1 - Fraction(6, 1000 * 1001))
+        base = gap_weight_sum(p, j_set)
+        for r, s in [(0, 1), (0, 999), (333, 500), (998, 999)]:
+            l0 = base + Scalar(Fraction((1000 * r + s) ** 2 - 1, 4 * 1000 * 1001))
+            points.append({"m": 1000, "r": r, "s": s, "c0": c0, "l0": l0})
+        for pt in points:
+            hw = HighestWeight(p, pt["l0"], (pt["c0"],) + tuple(scalar(v) for v in mask))
+            assert discrete_series_match(hw) == {k: pt[k] for k in ("m", "r", "s")}
 
 
 def test_variant_discrepancy_flag():
