@@ -24,6 +24,15 @@ exact pivot signs into an exact inertia triple, hence an exact verdict.
 One elimination loop serves both entry types; linalg.working_copy applies the
 package's entry rule (bare Fractions for a real matrix, Scalars otherwise),
 and only the upper triangle is updated (the lower one is its conjugate mirror).
+verdict_kind is the one rule from an inertia triple to a verdict.
+
+split_inertia reaches the same triples without the full Gram matrix.  For a
+real weight and real beta the module splits as Fock(J) (x) Virasoro(psi),
+psi = shifted_weight(hw), and the form is the product of the two factors'
+forms; monomials with an I^i factor, i not in J, lie in the radical, since
+their brackets end in C_i = 0.  The Fock form is diagonal on monomials, so
+its inertia is a count by sign (fock_sign_counts); only the Virasoro sector,
+whose levels are the multiples of p, needs an LDL*.
 """
 
 from dataclasses import dataclass
@@ -32,9 +41,9 @@ from fractions import Fraction
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import working_copy
-from .oscillator import gap_weight_sum
-from .scalars import ONE, ZERO, Scalar, scalar
-from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule
+from .oscillator import gap_weight_sum, shifted_weight
+from .scalars import ONE, ZERO, Scalar, scalar, sign_of_real
+from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule, partition_count
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -225,11 +234,65 @@ def definiteness(g):
                 if corr:
                     row[c] = row[c] - corr
     inertia = (n_pos, n_neg, n_zero)
+    kind = verdict_kind(inertia)
+    return DefinitenessVerdict(kind, witness if kind == INDEFINITE else (), inertia)
+
+
+def verdict_kind(inertia):
+    """The definiteness verdict of an inertia triple (positive, negative, zero)."""
+    n_pos, n_neg, n_zero = inertia
     if n_neg == 0:
-        return DefinitenessVerdict(PSD_SINGULAR if n_zero else PD, (), inertia)
-    if n_pos == 0:
-        return DefinitenessVerdict(NEGATIVE, (), inertia)
-    return DefinitenessVerdict(INDEFINITE, witness, inertia)
+        return PSD_SINGULAR if n_zero else PD
+    return INDEFINITE if n_pos else NEGATIVE
+
+
+# -- split route ----------------------------------------------------------------
+
+
+def fock_sign_counts(module, theta, max_level):
+    """[positive, negative] norm counts of an L-free sector's monomials, levels 0..max_level.
+
+    The factor I_{-m}^i has norm c [g, I_{-m}^i] with (g, c) = theta(I_{-m}^i),
+    and a monomial's norm is a positive multiple of its factors' product, so a
+    partition DP over the factor sizes counts the monomials of each sign.
+    """
+    alg, p = module.alg, module.alg.p
+    counts = [[1, 0]] + [[0, 0] for _ in range(max_level)]
+    for s in module._part_sizes(max_level):
+        i = -s % p  # the factor of size s = m p - i
+        f = alg.I(-((s + i) // p), i)
+        g, c = theta.image_of(f)
+        norm = sum((c * coeff * module.hw.c_value(h.n) for h, coeff in alg.bracket_gens(g, f)),
+                   ZERO)
+        flip = sign_of_real(norm) < 0
+        for d in range(s, max_level + 1):
+            pos, neg = counts[d - s]
+            counts[d][0] += neg if flip else pos
+            counts[d][1] += pos if flip else neg
+    return counts
+
+
+def split_inertia(alg, hw, theta, max_level):
+    """Inertia triple of the full module's form at levels 0..max_level, by the split.
+
+    Needs a real weight and real beta.  pos = sum F+ V+ + F- V-, neg = sum
+    F+ V- + F- V+ over Fock level d - b and Virasoro level b; the rest of
+    partition_count(d) is the zero count, the radical of a partial J included.
+    """
+    fock = fock_sign_counts(VermaModule(alg, hw, Sector.heisenberg(hw.j_set())), theta,
+                            max_level)
+    vira = VermaModule(alg, shifted_weight(hw), Sector.virasoro())
+    vir = [(b, definiteness(gram(vira, theta, b)).inertia)
+           for b in range(0, max_level + 1, alg.p)]
+    out = []
+    for d in range(max_level + 1):
+        pos = neg = 0
+        for b, (v_pos, v_neg, _) in vir[:d // alg.p + 1]:
+            f_pos, f_neg = fock[d - b]
+            pos += f_pos * v_pos + f_neg * v_neg
+            neg += f_pos * v_neg + f_neg * v_pos
+        out.append((pos, neg, partition_count(d) - pos - neg))
+    return out
 
 
 # -- closed-form Gram factors -----------------------------------------------
@@ -309,10 +372,12 @@ def reducibility_report(module, max_level, max_ab=None):
         "firstSingularLevel": first_singular,
     }
     if max_ab:
-        full_j = hw.j_set() == frozenset(range(1, hw.p))
+        # the criterion is the full module's, with every C_i nonzero
+        applicable = (module.sector == Sector.full(hw.p)
+                      and hw.j_set() == frozenset(range(1, hw.p)))
         report["phiCriterion"] = {
-            "applicable": full_j,
-            "zeros": gap_criterion_zeros(hw, max_ab) if full_j else [],
+            "applicable": applicable,
+            "zeros": gap_criterion_zeros(hw, max_ab) if applicable else [],
         }
     return report
 

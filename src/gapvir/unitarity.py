@@ -16,9 +16,15 @@ for some m >= 2 and 0 <= r < s < m, which discrete_series_match solves for
 exactly, every m included.  The Heisenberg clause is computed in two
 variants: the literal "real and nonzero" reading and the strict "positive"
 reading.  Level-one Gram diagonals equal (i/p) beta_i phi(C_i), so the
-brute-force Gram oracle settles which variant the form itself enforces; the
-verdict uses the strict variant and any point where the variants differ is
-flagged.
+Gram oracle settles which variant the form itself enforces; the verdict uses
+the strict variant and any point where the variants differ is flagged.
+
+The oracle gives the inertia of the contravariant form at every level by one
+of two routes.  For a real weight and real beta it takes the split route,
+Fock(J) (x) Virasoro(shifted weight) (forms.split_inertia); the full Gram
+route then re-derives every level whose full dimension is at most that of
+the largest Virasoro-sector level the split eliminated, and the two must
+agree.  Any other weight or beta takes the full Gram route at every level.
 """
 
 from fractions import Fraction
@@ -26,11 +32,11 @@ from math import floor, isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
-from .forms import PD, PSD_SINGULAR, definiteness, gram
+from .forms import PD, PSD_SINGULAR, definiteness, gram, split_inertia, verdict_kind
 from .oscillator import gap_weight_sum
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
-from .verma import HighestWeight, VermaModule
+from .verma import HighestWeight, VermaModule, partition_count
 
 def heisenberg_condition(hw, beta):
     """Per-index report on beta_i phi(C_i) for i in J: reality and sign."""
@@ -121,26 +127,52 @@ def highest_weight_unitary(hw, beta):
 
 
 def unitarity_oracle(alg, hw, beta, max_level):
-    """Per-level Gram definiteness for theta with alpha = 1 and the given beta.
+    """Per-level inertia of the form of theta with alpha = 1 and the given beta.
 
-    A level whose Gram matrix fails to be Hermitian is reported as
-    "not-hermitian": no contravariant Hermitian form exists for that weight
-    and involution, which settles the verdict negatively just as a negative
-    eigenvalue would.
+    Each level names its route: "split" for a real weight and real beta,
+    "full" otherwise.  A level whose full Gram matrix fails to be Hermitian
+    is reported as "not-hermitian": no contravariant Hermitian form exists
+    for that weight and involution, which settles the verdict negatively
+    just as a negative eigenvalue would.
     """
     beta = check_beta(hw.p, beta)
     theta = AntiInvolution.plus(hw.p, 1, beta)
+    if hw.is_real() and all(b.is_real() for b in beta):
+        return [_oracle_level(d, inertia, "split")
+                for d, inertia in enumerate(split_inertia(alg, hw, theta, max_level))]
     module = VermaModule(alg, hw)
-    levels = []
-    for d in range(0, max_level + 1):
-        gm = gram(module, theta, d)
-        try:
-            verdict = definiteness(gm)
-            levels.append({"d": d, "verdict": verdict.kind,
-                           "kernelDim": verdict.kernel_dim})
-        except GramIntegrityError:
-            levels.append({"d": d, "verdict": "not-hermitian", "kernelDim": None})
-    return levels
+    return [_full_level(module, theta, d) for d in range(max_level + 1)]
+
+
+def _oracle_level(d, inertia, route):
+    return {"d": d, "verdict": verdict_kind(inertia), "kernelDim": inertia[2],
+            "inertia": list(inertia), "route": route}
+
+
+def _full_level(module, theta, d):
+    try:
+        return _oracle_level(d, definiteness(gram(module, theta, d)).inertia, "full")
+    except GramIntegrityError:
+        return {"d": d, "verdict": "not-hermitian", "kernelDim": None, "inertia": None,
+                "route": "full"}
+
+
+def full_gram_cross_check(alg, hw, beta, oracle):
+    """Re-derive split-route levels by the full Gram route; None if no level was split.
+
+    It takes the levels whose full dimension partition_count(d) is at most
+    that of the largest Virasoro-sector level the split eliminated, which
+    bounds the full route's cost by the split's own.
+    """
+    if oracle[0]["route"] != "split":
+        return None
+    cap = partition_count((len(oracle) - 1) // hw.p)
+    checked = [e for e in oracle if partition_count(e["d"]) <= cap]
+    module = VermaModule(alg, hw)
+    theta = AntiInvolution.plus(hw.p, 1, check_beta(hw.p, beta))
+    agreement = all(_full_level(module, theta, e["d"])["inertia"] == e["inertia"]
+                    for e in checked)
+    return {"fullGramMaxLevel": checked[-1]["d"], "agreement": agreement}
 
 
 def oracle_is_psd(levels):
@@ -148,14 +180,17 @@ def oracle_is_psd(levels):
 
 
 def unitarity_verdict(alg, hw, beta, max_level):
-    """Closed form plus oracle plus their agreement, bundled for reports."""
+    """Closed form, oracle, the oracle's cross-check and their agreement, for reports."""
     closed = highest_weight_unitary(hw, beta)
     oracle = unitarity_oracle(alg, hw, beta, max_level)
-    agreement = closed["closedForm"] == oracle_is_psd(oracle)
+    cross = full_gram_cross_check(alg, hw, beta, oracle)
+    agreement = (closed["closedForm"] == oracle_is_psd(oracle)
+                 and (cross is None or cross["agreement"]))
     return {
         "verdict": "unitary" if closed["closedForm"] else "not-unitary",
         "clauses": closed,
         "oracle": oracle,
+        "crossCheck": cross,
         "agreement": agreement,
         "variantDiscrepancy": closed["variantDiscrepancy"],
     }

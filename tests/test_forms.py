@@ -317,6 +317,21 @@ def test_reducibility_cross_checks_criterion_zero_set():
         assert has_zero == (rep["firstSingularLevel"] is not None), (l0, c0, rep)
 
 
+@pytest.mark.parametrize("sector", ["heisenberg", "virasoro"])
+def test_phi_criterion_not_applicable_on_restricted_sector(sector):
+    # (1/16; 3/2, 1) zeroes the full module's criterion at (1, 1); a restricted
+    # sector of that weight has no singular vector in the window
+    alg = GapVirasoro(2)
+    hw = HighestWeight.make(2, "1/16", ["3/2", "1"])
+    restricted = (Sector.heisenberg(hw.j_set()) if sector == "heisenberg"
+                  else Sector.virasoro())
+    rep = reducibility_report(VermaModule(alg, hw, restricted), 6, max_ab=4)
+    assert rep["phiCriterion"] == {"applicable": False, "zeros": []}
+    assert rep["firstSingularLevel"] is None
+    full = reducibility_report(VermaModule(alg, hw), 2, max_ab=4)
+    assert full["phiCriterion"] == {"applicable": True, "zeros": [[1, 1]]}
+
+
 def test_kac_scan_direction_on_small_grid():
     alg = GapVirasoro(2)
     h_values = [Fraction(k, 16) for k in range(0, 17)]

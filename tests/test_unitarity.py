@@ -1,17 +1,20 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from gapvir import unitarity
 from gapvir.algebra import AntiInvolution, GapVirasoro
+from gapvir.cli import main
 from gapvir.errors import ConfigError
-from gapvir.forms import pairing
+from gapvir.forms import definiteness, gram, pairing, split_inertia
 from gapvir.oscillator import gap_weight_sum, shifted_weight, sugawara_sum
 from gapvir.scalars import Scalar, scalar
 from gapvir.unitarity import (classify, discrete_series, discrete_series_match,
                               heisenberg_condition, highest_weight_unitary,
-                              lowest_weight_dualize, oracle_is_psd,
-                              unitarity_oracle, unitarity_verdict)
+                              full_gram_cross_check, lowest_weight_dualize,
+                              oracle_is_psd, unitarity_oracle, unitarity_verdict)
 from gapvir.verma import HighestWeight, Sector, VermaModule
 
 
@@ -138,6 +141,90 @@ def test_oracle_flags_non_hermitian_form():
     assert levels[1]["verdict"] == "not-hermitian"
     verdict = unitarity_verdict(alg, hw2("1", "3", "1"), ["3/5+4/5*i"], 1)
     assert verdict["verdict"] == "not-unitary" and verdict["agreement"]
+
+
+SPLIT_CASES = [
+    # p, l0, central values, beta: discrete, continuum, negative C_0 and
+    # indefinite weights, beta of both signs, full, partial and empty J
+    (2, "1/16", ["3/2", "1"], ["1"]),
+    (2, "1/3", ["5/2", "1"], ["1"]),
+    (2, "1/3", ["-2", "1"], ["1"]),
+    (2, "-1/5", ["1/2", "1"], ["1"]),
+    (2, "1/16", ["3/2", "-1"], ["-1"]),
+    (2, "1/16", ["3/2", "1"], ["-1"]),
+    (2, "1/3", ["5/2", "0"], ["1"]),
+    (3, "25/144", ["5/2", "1"], ["2", "1/2"]),
+    (3, "1/2", ["4", "1"], ["2", "1/2"]),
+    (3, "1/3", ["-1", "-1"], ["-1", "-1"]),
+    (3, "-1/5", ["1/2", "1"], ["-1", "-1"]),
+    (3, "1/4", ["1/2", "0"], ["1", "1"]),
+    (4, "1/4", ["5/2", "1", "1"], ["1", "1", "1"]),
+    (4, "1/4", ["5/2", "0", "1"], ["1", "-1", "1"]),
+    (4, "1/4", ["5/2", "1", "0"], ["-1", "1", "-1"]),
+    (4, "0", ["-1", "1", "0"], ["1", "1", "1"]),
+    (4, "1/8", ["1", "0", "0"], ["1", "1", "1"]),
+]
+
+
+@pytest.mark.parametrize("p, l0, central, beta", SPLIT_CASES)
+def test_split_route_matches_full_gram(p, l0, central, beta):
+    alg = GapVirasoro(p)
+    hw = HighestWeight.make(p, l0, central)
+    theta = AntiInvolution.plus(p, 1, [scalar(b) for b in beta])
+    max_level = 12 if p == 2 else 10
+    module = VermaModule(alg, hw)
+    full = [definiteness(gram(module, theta, d)).inertia for d in range(max_level + 1)]
+    assert split_inertia(alg, hw, theta, max_level) == full
+
+
+def test_split_route_falls_back_for_complex_data():
+    # complex beta, complex L_0 and complex C_0 keep the full Gram route, with
+    # the entries it gave before the split route existed
+    cases = [
+        (2, "1", ["3", "1"], ["3/5+4/5*i"], ["positive-definite"] + ["not-hermitian"] * 4),
+        (2, "1/2+i", ["3", "1"], ["1"], ["positive-definite"] * 2 + ["not-hermitian"] * 3),
+        (3, "1/3+1/2*i", ["4", "1"], ["2", "1/2"],
+         ["positive-definite"] * 3 + ["not-hermitian"] * 2),
+        (2, "1/16", ["3/2+1/5*i", "1"], ["1"],
+         ["positive-definite"] * 2 + ["positive-semidefinite-singular"] * 2
+         + ["not-hermitian"]),
+    ]
+    for p, l0, central, beta, verdicts in cases:
+        hw = HighestWeight.make(p, l0, central)
+        res = unitarity_verdict(GapVirasoro(p), hw, beta, 4)
+        assert [e["route"] for e in res["oracle"]] == ["full"] * 5
+        assert [e["verdict"] for e in res["oracle"]] == verdicts
+        assert [e["kernelDim"] for e in res["oracle"]] == [
+            {"positive-definite": 0, "positive-semidefinite-singular": 1}.get(v)
+            for v in verdicts]
+        assert res["crossCheck"] is None and res["agreement"]
+
+
+@pytest.mark.parametrize("p, max_level, cap", [(2, 1, 1), (2, 4, 2), (2, 12, 6), (3, 9, 3),
+                                               (4, 10, 2)])
+def test_cross_check_covers_levels_no_larger_than_the_split(p, max_level, cap):
+    # full levels of dimension at most that of the largest Virasoro-sector level
+    hw = HighestWeight.make(p, "1", ["5"] + ["1"] * (p // 2))
+    beta = ["1"] * (p - 1)
+    oracle = unitarity_oracle(GapVirasoro(p), hw, beta, max_level)
+    assert full_gram_cross_check(GapVirasoro(p), hw, beta, oracle) == {
+        "fullGramMaxLevel": cap, "agreement": True}
+
+
+def test_split_full_disagreement_exits_one(monkeypatch, capsys):
+    def skewed(alg, hw, theta, max_level):
+        out = split_inertia(alg, hw, theta, max_level)
+        pos, neg, zero = out[2]
+        out[2] = (pos, neg + 1, zero - 1)
+        return out
+
+    monkeypatch.setattr(unitarity, "split_inertia", skewed)
+    argv = ["unitary-check", "--p", "2", "--l0", "1/16", "--c0", "3/2", "--c1", "1",
+            "--max-level", "4"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["crossCheck"] == {"agreement": False, "fullGramMaxLevel": 2}
+    assert report["clauses"]["closedForm"] and not report["agreement"]
 
 
 def test_dualize_swaps_beta_components():
