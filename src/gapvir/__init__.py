@@ -9,8 +9,7 @@ all over the Gaussian rationals.
 __version__ = "0.1.0"
 
 from .algebra import AntiInvolution, Element, GapVirasoro, Gen
-from .forms import (DefinitenessVerdict, GramMatrix, definiteness, gram,
-                    phi_gap, phi_gap_criterion, phi_virasoro)
+from .forms import DefinitenessVerdict, GramMatrix, definiteness, gram, phi_virasoro
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates, validate_f
 from .unitarity import (classify, discrete_series, heisenberg_condition,
@@ -28,7 +27,7 @@ __all__ = [
     "SeriesModule", "VermaModule", "classify", "definiteness",
     "discrete_series", "gram", "heisenberg_condition",
     "highest_weight_unitary", "lowest_weight_dualize", "partition_count",
-    "phi_gap", "phi_gap_criterion", "phi_virasoro", "scalar",
+    "phi_virasoro", "scalar",
     "series_predicates", "shifted_weight", "sign_of_real",
     "unitarity_oracle", "unitarity_verdict", "validate_f",
     "virasoro_relation_check",

@@ -15,6 +15,7 @@ embedded.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -156,7 +157,11 @@ def _resolve(args, extras):
         if level:
             # --p is resolved first; kac-scan counts Virasoro levels, p p-levels each
             scaled = value * args.p if level == "virasoro" else value
-            guard = int(os.environ.get("GAPVIR_MAX_LEVEL", DEFAULT_MAX_LEVEL_GUARD))
+            env = os.environ.get("GAPVIR_MAX_LEVEL", str(DEFAULT_MAX_LEVEL_GUARD))
+            try:
+                guard = _int(env)
+            except ValueError as exc:
+                raise GapVirError("GAPVIR_MAX_LEVEL %s: %s" % (env, exc)) from None
             if scaled > guard:
                 raise GapVirError("%s %s: p-level %d is over the guardrail %d (set "
                                   "GAPVIR_MAX_LEVEL to raise it)" % (name, raw, scaled, guard))
@@ -470,9 +475,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built on the first main() call.
+
+    Parsing leaves an argparse parser unchanged, so every call shares it.
+    """
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args, extras = build_parser().parse_known_args(argv)
+        args, extras = _parser().parse_known_args(argv)
         _resolve(args, extras)
         return args.handler(args)
     except (GapVirError, ZeroDivisionError, OSError, ValueError) as exc:

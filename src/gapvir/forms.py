@@ -33,6 +33,10 @@ forms; monomials with an I^i factor, i not in J, lie in the radical, since
 their brackets end in C_i = 0.  The Fock form is diagonal on monomials, so
 its inertia is a count by sign (fock_sign_counts); only the Virasoro sector,
 whose levels are the multiples of p, needs an LDL*.
+
+The closed forms are Virasoro statements: phi_virasoro is built from two
+kac_factor values, and kac_zeros is the one scan for its zeros, run at (h, c)
+by kac_scan and at psi, the gap-p criterion by the split, by phiCriterion.
 """
 
 from dataclasses import dataclass
@@ -41,9 +45,9 @@ from fractions import Fraction
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import working_copy
-from .oscillator import gap_weight_sum, shifted_weight
+from .oscillator import shifted_weight, virasoro_weight
 from .scalars import ONE, ZERO, Scalar, scalar, sign_of_real
-from .verma import EMPTY_MONOMIAL, HighestWeight, Sector, VermaModule, partition_count
+from .verma import EMPTY_MONOMIAL, Sector, VermaModule, partition_count
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -298,40 +302,22 @@ def split_inertia(alg, hw, theta, max_level):
 # -- closed-form Gram factors -----------------------------------------------
 
 
+def kac_factor(h, c, a, b):
+    """The linear Kac factor h + (a^2-1)(c-13)/24 + (ab-1)/2 at (a, b)."""
+    return (scalar(h) + Scalar(Fraction(a * a - 1, 24)) * (scalar(c) - 13)
+            + Scalar(Fraction(a * b - 1, 2)))
+
+
 def phi_virasoro(h, c, a, b):
     """Exact value of the degree-two Gram factor for the Virasoro sub-case."""
-    h = scalar(h)
-    c = scalar(c)
-    fac1 = h + Scalar(Fraction(a * a - 1, 24)) * (c - 13) + Scalar(Fraction(a * b - 1, 2))
-    fac2 = h + Scalar(Fraction(b * b - 1, 24)) * (c - 13) + Scalar(Fraction(a * b - 1, 2))
-    return fac1 * fac2 + Scalar(Fraction((a * a - b * b) ** 2, 16))
+    return (kac_factor(h, c, a, b) * kac_factor(h, c, b, a)
+            + Scalar(Fraction((a * a - b * b) ** 2, 16)))
 
 
-def phi_gap(hw, a, b):
-    """The linear factor of the gap-p irreducibility criterion at (a, b)."""
-    p = hw.p
-    val = 4 * hw.l0 - 4 * gap_weight_sum(p, range(1, p))
-    val = val + Scalar(Fraction(a * a - 1, 6)) * (hw.c_value(0) - (p + 12))
-    return val + Scalar(2 * (a * b - 1))
-
-
-def phi_gap_criterion(hw, a, b):
-    """Combined criterion value: product of the two factor orders plus (a^2-b^2)^2."""
-    return phi_gap(hw, a, b) * phi_gap(hw, b, a) + Scalar((a * a - b * b) ** 2)
-
-
-def index_pairs(max_ab):
-    """All (a, b) with a, b >= 1 and a*b <= max_ab, in a fixed scan order."""
-    pairs = []
-    for a in range(1, max_ab + 1):
-        for b in range(1, max_ab // a + 1):
-            pairs.append((a, b))
-    return pairs
-
-
-def gap_criterion_zeros(hw, max_ab):
-    return [[a, b] for a, b in index_pairs(max_ab)
-            if phi_gap_criterion(hw, a, b).is_zero()]
+def kac_zeros(h, c, max_ab):
+    """[a, b] with a, b >= 1, a*b <= max_ab and phi_virasoro(h, c, a, b) = 0, a-major order."""
+    return [[a, b] for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1)
+            if phi_virasoro(h, c, a, b).is_zero()]
 
 
 # -- reducibility oracle ------------------------------------------------------
@@ -372,23 +358,18 @@ def reducibility_report(module, max_level, max_ab=None):
         "firstSingularLevel": first_singular,
     }
     if max_ab:
-        # the criterion is the full module's, with every C_i nonzero
+        # the full module with every C_i nonzero is Fock(J) (x) Virasoro(psi)
         applicable = (module.sector == Sector.full(hw.p)
                       and hw.j_set() == frozenset(range(1, hw.p)))
+        psi = shifted_weight(hw)
         report["phiCriterion"] = {
             "applicable": applicable,
-            "zeros": gap_criterion_zeros(hw, max_ab) if applicable else [],
+            "zeros": kac_zeros(psi.l0, psi.c_value(0), max_ab) if applicable else [],
         }
     return report
 
 
 # -- Virasoro sub-case scan ----------------------------------------------------
-
-
-def virasoro_weight(p, h, c):
-    """Weight with only L_0 and C_0 values set; the Heisenberg centers vanish."""
-    central = [scalar(c)] + [ZERO] * (p // 2)
-    return HighestWeight(p, scalar(h), tuple(central))
 
 
 def virasoro_module(alg, h, c):
@@ -410,7 +391,7 @@ def kac_scan(alg, c_values, h_values, max_vir_level, max_ab):
         zero_h = []
         singular_h = []
         for h in h_values:
-            if any(phi_virasoro(h, c, a, b).is_zero() for a, b in index_pairs(max_ab)):
+            if kac_zeros(h, c, max_ab):
                 zero_h.append(str(scalar(h)))
             module = virasoro_module(alg, h, c)
             if any(module.singular_vectors(p * lvl)

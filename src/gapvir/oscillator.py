@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .algebra import KIND_C, KIND_L
 from .errors import ConfigError
-from .scalars import ZERO, Scalar
-from .verma import ModuleVector, Sector, VermaModule
+from .scalars import ZERO, Scalar, scalar
+from .verma import HighestWeight, ModuleVector, Sector, VermaModule
 
 
 def gap_weight_sum(p, j_set):
@@ -31,14 +31,17 @@ def gap_weight_sum(p, j_set):
     return Scalar(sum(Fraction(j * (p - j), 4 * p * p) for j in j_set))
 
 
-def shifted_weight(hw):
-    """Weight left for the complementary factor once the J-part is split off."""
-    from .verma import HighestWeight
+def virasoro_weight(p, h, c):
+    """Weight with only L_0 and C_0 values set; the Heisenberg centers vanish."""
+    central = [scalar(c)] + [ZERO] * (p // 2)
+    return HighestWeight(p, scalar(h), tuple(central))
 
-    psi_l0 = hw.l0 - gap_weight_sum(hw.p, hw.j_set())
-    psi_c0 = hw.c_value(0) - Scalar(len(hw.j_set()))
-    central = (psi_c0,) + (ZERO,) * (hw.p // 2)
-    return HighestWeight(hw.p, psi_l0, central)
+
+def shifted_weight(hw):
+    """psi, the Virasoro factor's weight: C_0 less |J|, L_0 less gap_weight_sum(J)."""
+    j_set = hw.j_set()
+    return virasoro_weight(hw.p, hw.l0 - gap_weight_sum(hw.p, j_set),
+                           hw.c_value(0) - len(j_set))
 
 
 def sugawara_sum(module, j_set, phi_c, n, vec):

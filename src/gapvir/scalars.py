@@ -76,7 +76,10 @@ class Scalar:
             else:
                 if m.group("imag") and not m.group("star"):
                     raise ScalarParseError("bad term %r in scalar %r" % (term, text))
-                value = sign * Fraction(m.group("coef"))
+                try:
+                    value = sign * Fraction(m.group("coef"))
+                except ZeroDivisionError:
+                    raise ScalarParseError("zero denominator in scalar %r" % text) from None
                 is_imag = bool(m.group("imag"))
             if is_imag:
                 if im_part is not None:

@@ -2,15 +2,15 @@
 
 The closed form for a highest weight to carry a unitary irreducible quotient
 has two clauses: positivity data on the Heisenberg sector (one condition per
-index in J), and the Virasoro-type condition on (C_0, L_0), which is either
-the continuum region
+index in J), and the Virasoro condition on the shifted weight
+psi = shifted_weight(hw), with c' = psi(C_0) and h' = psi(L_0): either the
+continuum region
 
-    phi(C_0) >= |J| + 1   and   phi(L_0) >= sum_{j in J} j(p-j)/(4p^2)
+    c' >= 1   and   h' >= 0
 
 or an exact hit on a discrete-series point
 
-    phi(C_0) = |J| + 1 - 6/(m(m+1)),
-    phi(L_0) = sum_j j(p-j)/(4p^2) + ((m r + s)^2 - 1)/(4 m (m+1)),
+    c' = 1 - 6/(m(m+1)),   h' = ((m r + s)^2 - 1)/(4 m (m+1)),
 
 for some m >= 2 and 0 <= r < s < m, which discrete_series_match solves for
 exactly, every m included.  The Heisenberg clause is computed in two
@@ -33,7 +33,7 @@ from math import floor, isqrt
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
 from .forms import PD, PSD_SINGULAR, definiteness, gram, split_inertia, verdict_kind
-from .oscillator import gap_weight_sum
+from .oscillator import gap_weight_sum, shifted_weight
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
 from .verma import HighestWeight, VermaModule, partition_count
@@ -53,22 +53,19 @@ def heisenberg_condition(hw, beta):
     return out
 
 
-def _series_c0(j_set, m):
-    """phi(C_0) on the discrete series with parameter m."""
-    return Scalar(len(j_set) + 1 - Fraction(6, m * (m + 1)))
-
-
 def discrete_series(p, j_set, m):
-    """All discrete-series weight points for one m >= 2."""
+    """All discrete-series weight points for one m >= 2, as weights of the full module."""
     if m < 2:
         raise ConfigError("discrete series needs m >= 2")
+    # psi's c' and h' shifted back by |J| and gap_weight_sum(J)
     j_set = frozenset(j_set)
+    n = m * (m + 1)
+    c0 = Scalar(len(j_set) + 1 - Fraction(6, n))
     base_l0 = gap_weight_sum(p, j_set)
-    c0 = _series_c0(j_set, m)
     points = []
     for r in range(m):
         for s in range(r + 1, m):
-            l0 = base_l0 + Scalar(Fraction((m * r + s) ** 2 - 1, 4 * m * (m + 1)))
+            l0 = base_l0 + Scalar(Fraction((m * r + s) ** 2 - 1, 4 * n))
             points.append({"m": m, "r": r, "s": s, "c0": c0, "l0": l0})
     return points
 
@@ -76,17 +73,18 @@ def discrete_series(p, j_set, m):
 def discrete_series_match(hw):
     """Exact discrete-series hit for a weight, or None; a complex weight never hits.
 
-    N = m(m+1) = 6/(|J| + 1 - phi(C_0)) fixes m, then k = m r + s is fixed by
-    k^2 = 4N(phi(L_0) - sum_j j(p-j)/(4p^2)) + 1.  Integer square roots give
-    the only candidates, and each counts only if its equation holds exactly.
+    On psi = shifted_weight(hw), N = m(m+1) = 6/(1 - c') fixes m, then
+    k = m r + s is fixed by k^2 = 4N h' + 1.  Integer square roots give the
+    only candidates, and each counts only if its equation holds exactly.
     """
-    j_set, c0, l0 = hw.j_set(), hw.c_value(0), hw.l0
-    deficit = len(j_set) + 1 - c0.re
-    if not (c0.is_real() and l0.is_real()) or deficit <= 0:
+    psi = shifted_weight(hw)
+    c, h = psi.c_value(0), psi.l0
+    if not (c.is_real() and h.is_real()) or c.re >= 1:
         return None
-    m = (isqrt(floor(24 / deficit + 1)) - 1) // 2  # 4N + 1 = (2m + 1)^2
-    square = 4 * m * (m + 1) * (l0 - gap_weight_sum(hw.p, j_set)).re + 1
-    if m < 2 or _series_c0(j_set, m) != c0 or square < 0:
+    m = (isqrt(floor(24 / (1 - c.re) + 1)) - 1) // 2  # 4N + 1 = (2m + 1)^2
+    n = m * (m + 1)
+    square = 4 * n * h.re + 1
+    if m < 2 or c.re != 1 - Fraction(6, n) or square < 0:
         return None
     k = isqrt(floor(square))
     r, s = divmod(k, m)
@@ -99,14 +97,12 @@ def highest_weight_unitary(hw, beta):
     clause1_literal = all(rec["realNonzero"] for rec in heis.values())
     clause1_strict = all(rec["positive"] for rec in heis.values())
 
-    comparable = hw.l0.is_real() and hw.c_value(0).is_real()
+    psi = shifted_weight(hw)
     continuum = False
     discrete = None
     note = None
-    if comparable:
-        floor_c0 = Scalar(len(hw.j_set()) + 1)
-        floor_l0 = gap_weight_sum(hw.p, hw.j_set())
-        continuum = (hw.c_value(0).re >= floor_c0.re and hw.l0.re >= floor_l0.re)
+    if psi.l0.is_real() and psi.c_value(0).is_real():
+        continuum = psi.c_value(0).re >= 1 and psi.l0.re >= 0
         discrete = discrete_series_match(hw)
     else:
         note = "complex L_0 or C_0: the order conditions do not apply"

@@ -79,14 +79,24 @@ def test_unitary_check_agreement(capsys):
     assert report["verdict"] == "unitary" and report["agreement"]
 
 
-def test_usage_error_exit_code(capsys):
-    code, _ = run_cli(capsys, ["bracket", "--p", "2", "--x", "L[2]", "--y", "nope"])
-    assert code == 2
-    code, _ = run_cli(capsys, ["unitary-check", "--p", "2", "--l0", "1/0x"])
-    assert code == 2
-    # a zero denominator is reported, never a traceback
-    code, _ = run_cli(capsys, ["gram", "--p", "2", "--l0", "1/0"])
-    assert code == 2
+def test_usage_error_exit_code(capsys, monkeypatch):
+    for argv, env, line in (
+            (["bracket", "--p", "2", "--x", "L[2]", "--y", "nope"], None,
+             "cannot parse term 'nope'"),
+            (["unitary-check", "--p", "2", "--l0", "1/0x"], None,
+             "bad term '1/0x' in scalar '1/0x'"),
+            # a zero denominator is reported with the text it is in, never a traceback
+            (["gram", "--p", "2", "--l0", "1/0"], None, "zero denominator in scalar '1/0'"),
+            (["kac-scan", "--central", "1/0"], None, "zero denominator in scalar '1/0'"),
+            (["bracket", "--x", "(1/0)*L[1]", "--y", "L[0]"], None,
+             "zero denominator in scalar '1/0'"),
+            (["verma-dims", "--p", "2"], "abc", "GAPVIR_MAX_LEVEL abc: expected an integer")):
+        if env is not None:
+            monkeypatch.setenv("GAPVIR_MAX_LEVEL", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", "gapvir: %s\n" % line)
 
 
 def test_verdict_failure_exit_code(capsys):

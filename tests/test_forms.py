@@ -7,10 +7,10 @@ from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.errors import GramIntegrityError, UnsupportedInvolutionError
 from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
-                          GramMatrix, definiteness, gap_criterion_zeros, gram,
-                          kac_scan, pairing, phi_gap,
-                          phi_gap_criterion, phi_virasoro, reducibility_report,
+                          GramMatrix, definiteness, gram, kac_factor, kac_scan,
+                          kac_zeros, pairing, phi_virasoro, reducibility_report,
                           virasoro_module)
+from gapvir.oscillator import shifted_weight
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight, Sector, VermaModule
 
@@ -249,20 +249,67 @@ def test_phi_virasoro_values():
             assert phi_virasoro(h, c, a, a) == root * root
 
 
+def literal_gap_factor(hw, a, b):
+    """The gap-p linear factor as the paper writes it for full J, without the split:
+
+    4 L_0 - 4 sum_{0<j<p} j(p-j)/(4p^2) + (a^2-1)/6 (C_0 - (p+12)) + 2(ab-1).
+    """
+    p = hw.p
+    vacuum = sum(Fraction(j * (p - j), 4 * p * p) for j in range(1, p))
+    return (4 * (hw.l0 - vacuum) + Fraction(a * a - 1, 6) * (hw.c_value(0) - (p + 12))
+            + 2 * (a * b - 1))
+
+
+def literal_gap_zeros(hw, max_ab):
+    return [[a, b] for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1)
+            if (literal_gap_factor(hw, a, b) * literal_gap_factor(hw, b, a)
+                + (a * a - b * b) ** 2).is_zero()]
+
+
+def psi_zeros(hw, max_ab):
+    psi = shifted_weight(hw)
+    return kac_zeros(psi.l0, psi.c_value(0), max_ab)
+
+
 def test_phi_gap_values():
-    hw = HighestWeight.make(2, "1/16", ["2", "1"])
-    assert phi_gap(hw, 1, 1).is_zero()
-    hw2 = HighestWeight.make(2, "0", ["14", "1"])
-    assert phi_gap(hw2, 2, 1) == scalar("7/4")
-    # the alpha = beta = 1 value only sees the weight data
-    hw3 = HighestWeight.make(3, "1/4", ["9", "1"])
-    assert phi_gap(hw3, 1, 1) == 4 * scalar("1/4") - scalar("4/9")
+    # the gap-p linear factor is 4 kac_factor at psi = shifted_weight(hw)
+    for hw, a, b, value in ((HighestWeight.make(2, "1/16", ["2", "1"]), 1, 1, "0"),
+                            (HighestWeight.make(2, "0", ["14", "1"]), 2, 1, "7/4"),
+                            (HighestWeight.make(3, "1/4", ["9", "1"]), 1, 1, "5/9")):
+        psi = shifted_weight(hw)
+        assert 4 * kac_factor(psi.l0, psi.c_value(0), a, b) == scalar(value)
+        assert literal_gap_factor(hw, a, b) == scalar(value)
 
 
 def test_phi_gap_criterion_zero_scan():
     hw = HighestWeight.make(2, "1/16", ["2", "1"])
-    assert [1, 1] in gap_criterion_zeros(hw, 4)
-    assert phi_gap_criterion(hw, 1, 1).is_zero()
+    assert [1, 1] in psi_zeros(hw, 4)
+    psi = shifted_weight(hw)
+    assert phi_virasoro(psi.l0, psi.c_value(0), 1, 1).is_zero()
+
+
+def test_kac_zeros_at_psi_match_the_literal_gap_criterion():
+    # seeded full-J weights, half of them lifted from a Kac zero
+    # h = ((a t - b)^2 - (t - 1)^2)/(4t) at c = 13 - 6(t + 1/t)
+    rng = random.Random(20260)
+    hit = 0
+    for _ in range(120):
+        p = rng.randint(2, 5)
+        t = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        if rng.random() < 0.5:
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            h, c = ((a * t - b) ** 2 - (t - 1) ** 2) / (4 * t), 13 - 6 * (t + 1 / t)
+        else:
+            h, c = Fraction(rng.randint(-8, 8), rng.randint(1, 8)), 13 - 6 * t
+        vacuum = sum(Fraction(j * (p - j), 4 * p * p) for j in range(1, p))
+        central = [c + p - 1] + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                                 for _ in range(p // 2)]
+        hw = HighestWeight.make(p, h + vacuum, central)
+        assert hw.j_set() == frozenset(range(1, p))
+        zeros = psi_zeros(hw, 12)
+        assert zeros == literal_gap_zeros(hw, 12)
+        hit += bool(zeros)
+    assert hit >= 40
 
 
 def test_reducibility_virasoro_weight_zero():

@@ -54,6 +54,30 @@ def test_discrete_series_shifted_for_gap_module():
     assert [str(p["l0"]) for p in pts] == ["1/16", "1/8", "9/16"]
 
 
+@pytest.mark.parametrize("p, j_set, c0, l0s", [
+    (4, {1, 3}, "5/2", ["3/32", "5/32", "19/32"]),
+    (4, {2}, "3/2", ["1/16", "1/8", "9/16"]),
+    (3, {1, 2}, "5/2", ["1/9", "25/144", "11/18"]),
+])
+def test_discrete_series_pinned_for_partial_and_full_j(p, j_set, c0, l0s):
+    # literal values: a wrong J-shift moves them, even though the closed form
+    # and the split route both read it from shifted_weight
+    pts = discrete_series(p, frozenset(j_set), 3)
+    assert [(pt["r"], pt["s"]) for pt in pts] == [(0, 1), (0, 2), (1, 2)]
+    assert [str(pt["c0"]) for pt in pts] == [c0] * 3
+    assert [str(pt["l0"]) for pt in pts] == l0s
+
+
+def test_continuum_floor_pinned_for_partial_j():
+    # p = 4, J = {1, 3}: the floor is C_0 = |J| + 1 = 3 with L_0 = 3/32
+    floor = highest_weight_unitary(HighestWeight.make(4, "3/32", ["3", "1", "0"]), ["1"] * 3)
+    assert floor["continuum"] and floor["discreteSeries"] is None
+    below = highest_weight_unitary(HighestWeight.make(4, "3/32", ["5/2", "1", "0"]),
+                                   ["1"] * 3)
+    assert not below["continuum"]
+    assert below["discreteSeries"] == {"m": 3, "r": 0, "s": 1}
+
+
 def test_discrete_series_rejects_small_m():
     with pytest.raises(ConfigError):
         discrete_series(2, frozenset(), 1)
