@@ -128,6 +128,14 @@ def _grid(text):
     return int(num), int(den)
 
 
+def _parsed(flag, text, parse):
+    """parse(text), with any error naming the flag and the text given."""
+    try:
+        return parse(text)
+    except (GapVirError, ValueError) as exc:
+        raise GapVirError("%s %s: %s" % (flag, text, exc)) from None
+
+
 def _resolve(args, extras):
     """Give every setting its value and check it, once, before dispatch.
 
@@ -175,9 +183,8 @@ def _resolve(args, extras):
         args.hw = HighestWeight.read(p, _config_object(config, "weights"), "config weights",
                                      given["c"])
     if "beta" in args.indexed:
-        args.beta = [scalar(v) for v in indexed_values(
-            p, _config_object(config, "beta"), "config beta", "beta", 1, p - 1, "1",
-            given=given["beta"])]
+        args.beta = indexed_values(p, _config_object(config, "beta"), "config beta", "beta",
+                                   1, p - 1, "1", given=given["beta"])
 
 
 def _config_echo(args, extra=None):
@@ -191,8 +198,8 @@ def _config_echo(args, extra=None):
 
 
 def _cmd_bracket(args):
-    x = args.alg.parse_element(args.x)
-    y = args.alg.parse_element(args.y)
+    x = _parsed("--x", args.x, args.alg.parse_element)
+    y = _parsed("--y", args.y, args.alg.parse_element)
     result = args.alg.bracket(x, y)
     return _emit(args, {
         "config": _config_echo(args, {"x": args.x, "y": args.y}),
@@ -228,7 +235,7 @@ def _cmd_involution_check(args):
 
 def _cmd_verma_dims(args):
     module = VermaModule(args.alg, args.hw, _sector_from(args))
-    dims = [module.graded_dim(d) for d in range(args.max_level + 1)]
+    dims = module.graded_dims(args.max_level)
     return _emit(args, {
         "config": _config_echo(args, {"maxLevel": args.max_level, "sector": args.sector}),
         "dims": dims,
@@ -237,7 +244,7 @@ def _cmd_verma_dims(args):
 
 
 def _cmd_gram(args):
-    theta = AntiInvolution.plus(args.p, scalar(args.alpha), args.beta)
+    theta = AntiInvolution.plus(args.p, _parsed("--alpha", args.alpha, scalar), args.beta)
     module = VermaModule(args.alg, args.hw, _sector_from(args))
     gm = gram(module, theta, args.level)
     try:
@@ -312,7 +319,8 @@ def _cmd_series_check(args):
     else:
         raise GapVirError("series-check needs --f or --f-file")
     f = FMatrix.make(args.p, rows)
-    module = SeriesModule(args.alg, scalar(args.a), scalar(args.b), f, allow_invalid=True)
+    module = SeriesModule(args.alg, _parsed("--a", args.a, scalar), _parsed("--b", args.b, scalar),
+                          f, allow_invalid=True)
     axioms = module.axiom_check(args.window) if not module.violations else \
         {"pass": False, "witness": "skipped: invalid F"}
     pred = series_predicates(module, args.beta)
@@ -359,7 +367,7 @@ def _cmd_classify(args):
 
 
 def _cmd_kac_scan(args):
-    c_values = [scalar(tok) for tok in args.central.split(",")]
+    c_values = [_parsed("--central", tok, scalar) for tok in args.central.split(",")]
     num, den = args.grid
     h_values = [Scalar(Fraction(k, den)) for k in range(num + 1)]
     report = kac_scan(args.alg, c_values, h_values, args.max_level, args.max_ab)

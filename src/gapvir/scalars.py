@@ -27,14 +27,22 @@ def _fmt_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+_Q0 = Fraction(0)  # the one zero imaginary part shared by real results
+
+
 class Scalar:
-    """Immutable element of the Gaussian rationals Q(i)."""
+    """Immutable element of the Gaussian rationals Q(i).
+
+    ``__init__`` is the only constructor.  It keeps a part that is already a
+    Fraction as it is, and the arithmetic skips the imaginary parts when both
+    operands are real.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re=_Q0, im=_Q0):
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -104,27 +112,31 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return Scalar(self.re + o.re)
         return Scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return Scalar(self.re - o.re)
         return Scalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         if not self.im and not o.im:
@@ -147,6 +159,8 @@ class Scalar:
         return o * self.inv()
 
     def __neg__(self):
+        if not self.im:
+            return Scalar(-self.re)
         return Scalar(-self.re, -self.im)
 
     def __pow__(self, n):
@@ -159,6 +173,8 @@ class Scalar:
         return out
 
     def conj(self):
+        if not self.im:
+            return self
         return Scalar(self.re, -self.im)
 
     def inv(self):
@@ -205,6 +221,9 @@ class Scalar:
     def __repr__(self):
         return "Scalar(%r)" % str(self)
 
+
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()

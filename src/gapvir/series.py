@@ -86,16 +86,20 @@ class SeriesModule:
         if self.violations and not allow_invalid:
             raise ConfigError("invalid F matrix: %s" % self.violations[0])
         self.columns = f.col_set()
+        # a + j/p for each column j, the L-action's shift there
+        self._shifts = {j: self.a + Scalar(Fraction(j, alg.p)) for j in self.columns}
 
     def act_basis(self, g, k, j):
         """Image of the basis vector at (k, j): a (coefficient, target) pair."""
         p = self.alg.p
-        if j not in self.columns:
+        shift = self._shifts.get(j)
+        if shift is None:
             raise ConfigError("column %d is not in col(F)" % j)
         if g.kind == KIND_C:
             return ZERO, None
         if g.kind == KIND_L:
-            coeff = -(self.a + Scalar(k) + Scalar(Fraction(j, p)) + self.b * g.n)
+            b = self.b
+            coeff = Scalar(-(shift.re + k + b.re * g.n), -(shift.im + b.im * g.n))
             return coeff, (g.n + k, j)
         coeff = self.f.entry(g.i, j)
         if not coeff:

@@ -6,6 +6,8 @@ contributes n*p, a factor I_{-m}^i contributes m*p - i.  Since the two
 families cover the multiples of p and the non-multiples of p respectively,
 monomials of p-level d correspond exactly to integer partitions of d (for the
 unrestricted module), and a basis enumeration is a partition enumeration.
+Dimensions are counted by a partition DP over the sector's factor sizes;
+bases are enumerated only where their monomials are needed.
 
 A monomial is kept in canonical order: L-factors to the left of I-factors,
 L-factors by depth descending, I-factors by (m, i) descending.  Negative-mode
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
-from .errors import ConfigError
+from .errors import ConfigError, ScalarParseError
 from .linalg import nullspace
 from .scalars import ONE, ZERO, Scalar, scalar
 
@@ -153,15 +155,28 @@ class HighestWeight:
 
 
 def indexed_values(p, found, source, prefix, first, last, fill, extra=(), given=None):
-    """Values of extra + prefix<first>..prefix<last>: the flag, else found[name], else fill."""
+    """Scalars of extra + prefix<first>..prefix<last>: the flag, else found[name], else fill.
+
+    An error names the flag or the source key the value came from.
+    """
     given = given or {}
     names = list(extra) + ["%s%d" % (prefix, i) for i in range(first, last + 1)]
+
+    def where(name):
+        return "--" + name if name in given else "%s key %r" % (source, name)
+
     for name in list(given) + list(found):
         if name not in names:
-            where = "--" + name if name in given else "%s key %r" % (source, name)
             raise ConfigError("%s is out of range: p=%d allows --%s%d..--%s%d"
-                              % (where, p, prefix, first, prefix, last))
-    return [given.get(n, found.get(n, fill)) for n in names]
+                              % (where(name), p, prefix, first, prefix, last))
+    values = []
+    for name in names:
+        try:
+            values.append(scalar(given.get(name, found.get(name, fill))))
+        except ScalarParseError as exc:
+            named = "%s %s" % (where(name), given[name]) if name in given else where(name)
+            raise ScalarParseError("%s: %s" % (named, exc)) from None
+    return values
 
 
 class ModuleVector(Combination):
@@ -237,8 +252,18 @@ class VermaModule:
         self._basis_cache[d] = out
         return out
 
+    def graded_dims(self, max_level):
+        """Monomial counts at p-levels 0..max_level, by a partition DP over the factor sizes."""
+        if max_level < 0:
+            raise ConfigError("p-level must be >= 0")
+        ways = [1] + [0] * max_level
+        for s in self._part_sizes(max_level):
+            for k in range(s, max_level + 1):
+                ways[k] += ways[k - s]
+        return ways
+
     def graded_dim(self, d):
-        return len(self.pbw_basis(d))
+        return self.graded_dims(d)[d]
 
     def highest_vector(self):
         return ModuleVector(self, {EMPTY_MONOMIAL: ONE})

@@ -82,14 +82,16 @@ def test_unitary_check_agreement(capsys):
 def test_usage_error_exit_code(capsys, monkeypatch):
     for argv, env, line in (
             (["bracket", "--p", "2", "--x", "L[2]", "--y", "nope"], None,
-             "cannot parse term 'nope'"),
+             "--y nope: cannot parse term 'nope'"),
             (["unitary-check", "--p", "2", "--l0", "1/0x"], None,
-             "bad term '1/0x' in scalar '1/0x'"),
+             "--l0 1/0x: bad term '1/0x' in scalar '1/0x'"),
             # a zero denominator is reported with the text it is in, never a traceback
-            (["gram", "--p", "2", "--l0", "1/0"], None, "zero denominator in scalar '1/0'"),
-            (["kac-scan", "--central", "1/0"], None, "zero denominator in scalar '1/0'"),
+            (["gram", "--p", "2", "--l0", "1/0"], None,
+             "--l0 1/0: zero denominator in scalar '1/0'"),
+            (["kac-scan", "--central", "1/0"], None,
+             "--central 1/0: zero denominator in scalar '1/0'"),
             (["bracket", "--x", "(1/0)*L[1]", "--y", "L[0]"], None,
-             "zero denominator in scalar '1/0'"),
+             "--x (1/0)*L[1]: zero denominator in scalar '1/0'"),
             (["verma-dims", "--p", "2"], "abc", "GAPVIR_MAX_LEVEL abc: expected an integer")):
         if env is not None:
             monkeypatch.setenv("GAPVIR_MAX_LEVEL", env)
@@ -97,6 +99,34 @@ def test_usage_error_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == 2
         assert (captured.out, captured.err) == ("", "gapvir: %s\n" % line)
+
+
+@pytest.mark.parametrize("files, argv, line", [
+    ({}, ["gram", "--p", "3", "--c1", "1/0"], "--c1 1/0: zero denominator in scalar '1/0'"),
+    ({}, ["gram", "--p", "2", "--beta1=1/0"], "--beta1 1/0: zero denominator in scalar '1/0'"),
+    ({}, ["unitary-check", "--p", "3", "--beta2", "x"], "--beta2 x: bad term 'x' in scalar 'x'"),
+    ({}, ["bracket", "--p", "2", "--x", "(1/0)*L[1] + L[2]", "--y", "L[0]"],
+     "--x (1/0)*L[1] + L[2]: zero denominator in scalar '1/0'"),
+    ({}, ["bracket", "--p", "2", "--x", "L[1]", "--y", "2/0*I[0,1]"],
+     "--y 2/0*I[0,1]: zero denominator in scalar '2/0'"),
+    ({}, ["gram", "--p", "2", "--alpha", "1/0"], "--alpha 1/0: zero denominator in scalar '1/0'"),
+    ({}, ["series-check", "--p", "2", "--a", "0", "--b", "1/0", "--f", '[["1","1"]]'],
+     "--b 1/0: zero denominator in scalar '1/0'"),
+    ({"run.json": {"weights": {"l0": "1/0"}}}, ["gram", "--p", "2", "--config", "run.json"],
+     "config weights key 'l0': zero denominator in scalar '1/0'"),
+    ({"run.json": {"beta": {"beta1": [1]}}}, ["gram", "--p", "2", "--config", "run.json"],
+     "config beta key 'beta1': cannot coerce [1] to a scalar"),
+    ({"d.json": {"type": "highest-weight", "l0": "1/0", "c0": "2", "c1": "1"}},
+     ["classify", "--p", "2", "--input", "d.json"],
+     "descriptor key 'l0': zero denominator in scalar '1/0'"),
+], ids=["c-flag", "beta-flag-inline", "beta-flag-bad-term", "bracket-x", "bracket-y", "alpha",
+        "series-b", "config-weights-key", "config-beta-key", "descriptor-key"])
+def test_scalar_errors_name_their_flag_or_key(tmp_path, monkeypatch, capsys, files, argv, line):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "gapvir: %s\n" % line)
 
 
 def test_verdict_failure_exit_code(capsys):
@@ -113,6 +143,15 @@ def test_guardrail_on_max_level(capsys, monkeypatch):
     monkeypatch.setenv("GAPVIR_MAX_LEVEL", "40")
     code, out = run_cli(capsys, ["verma-dims", "--p", "2", "--max-level", "26"])
     assert code == 0 and len(json.loads(out)["dims"]) == 27
+
+
+def test_deep_verma_dims_counts_without_enumerating(capsys, monkeypatch):
+    # level 200 has 3972999029388 monomials: only a count can reach it
+    monkeypatch.setenv("GAPVIR_MAX_LEVEL", "200")
+    code, out = run_cli(capsys, ["verma-dims", "--p", "2", "--max-level", "200"])
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert len(dims) == 201 and dims[-1] == 3972999029388
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from gapvir.errors import NotRealError, ScalarParseError
-from gapvir.scalars import Scalar, scalar, sign_of_real
+from gapvir.scalars import ONE, Scalar, scalar, sign_of_real
 
 
 def rand_scalar(rng, nonzero=False):
@@ -116,3 +116,94 @@ def test_random_format_round_trip():
     for _ in range(200):
         s = rand_scalar(rng)
         assert Scalar.parse(str(s)) == s
+
+
+# Reference arithmetic on (re, im) pairs of Fractions, independent of Scalar.
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+REF_BINARY = {
+    "+": (lambda a, b: a + b, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (lambda a, b: a - b, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (lambda a, b: a * b, _ref_mul),
+    "/": (lambda a, b: a / b, lambda x, y: _ref_mul(x, _ref_inv(y))),
+}
+REF_UNARY = {
+    "neg": (lambda a: -a, lambda x: (-x[0], -x[1])),
+    "conj": (lambda a: a.conj(), lambda x: (x[0], -x[1])),
+    "inv": (lambda a: a.inv(), _ref_inv),
+}
+
+
+def _exact_parts(z):
+    assert type(z) is Scalar
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return (z.re, z.im)
+
+
+def _kernel_operands(rng):
+    """Seeded (re, im) pairs: real, complex and purely imaginary, zero included."""
+    def q():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    pairs = [(q(), Fraction(0)) for _ in range(12)] + [(q(), q()) for _ in range(12)]
+    pairs += [(Fraction(0), q()), (Fraction(0), Fraction(0)), (Fraction(3), Fraction(0))]
+    return pairs
+
+
+def test_kernel_matches_pair_reference():
+    rng = random.Random(20244)
+    pairs = _kernel_operands(rng)
+    for x in pairs:
+        a = Scalar(*x)
+        assert _exact_parts(a) == x
+        for name, (op, ref) in REF_UNARY.items():
+            if name == "inv" and x == (0, 0):
+                continue
+            assert _exact_parts(op(a)) == ref(x), (name, x)
+        for y in pairs:
+            b = Scalar(*y)
+            for name, (op, ref) in REF_BINARY.items():
+                if name == "/" and y == (0, 0):
+                    continue
+                want = ref(x, y)
+                assert _exact_parts(op(a, b)) == want, (name, x, y)
+                if not y[1]:
+                    # a real right operand given as a Fraction, and as an int
+                    assert _exact_parts(op(a, y[0])) == want, (name, x, y)
+                    if y[0].denominator == 1:
+                        assert _exact_parts(op(a, int(y[0]))) == want, (name, x, y)
+                if not x[1]:
+                    assert _exact_parts(op(x[0], b)) == want, (name, x, y)
+
+
+def test_constructors_store_fractions():
+    for z in (Scalar(3), Scalar(-2, 5), Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2), 7),
+              Scalar(), Scalar.parse("3/5+4/5*i"), Scalar.parse("-i"), Scalar.parse("7"),
+              scalar(4), scalar("1/3-2*i"), Scalar.zero(), Scalar.one(), Scalar.i_unit()):
+        _exact_parts(z)
+    assert _exact_parts(Scalar(Fraction(6, 4), Fraction(-2, 8))) == (Fraction(3, 2),
+                                                                      Fraction(-1, 4))
+
+
+def test_equal_values_hash_equal():
+    for group in ((Scalar(1), Scalar(Fraction(1), 0), ONE, Scalar.parse("1"), Scalar(2) / 2),
+                  (Scalar(0, 1), Scalar.parse("i"), Scalar.i_unit(), -Scalar(0, -1)),
+                  (Scalar(Fraction(1, 2)), Scalar.parse("1/2"), Scalar(1, 1) * Scalar(1, -1) / 4)):
+        assert len({hash(z) for z in group}) == 1
+        assert all(z == group[0] for z in group)
+
+
+def test_scalar_is_immutable():
+    z = Scalar(1, 2)
+    for name, value in (("re", Fraction(5)), ("im", Fraction(0)), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(z, name, value)
+    assert (z.re, z.im) == (1, 2)
+    assert ONE.conj() is ONE

@@ -44,8 +44,11 @@ def test_monomial_levels():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_graded_dims_match_partition_numbers(p):
     _, module = full_module(p)
-    for d in range(13):
+    for d in range(201):
         assert module.graded_dim(d) == partition_count(d)
+    assert module.graded_dims(2000) == [partition_count(d) for d in range(2001)]
+    with pytest.raises(ConfigError):
+        module.graded_dim(-1)
 
 
 def test_act_on_highest_weight_vector():
@@ -183,6 +186,20 @@ def test_tensor_factorization_of_characters(p):
             conv = sum(heis.graded_dim(a) * comp.graded_dim(d - a)
                        for a in range(d + 1))
             assert full.graded_dim(d) == conv
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_graded_dim_counts_the_enumerated_basis(p):
+    # enumeration is the reference for the partition DP, on every sector and J
+    alg = GapVirasoro(p)
+    hw = HighestWeight.make(p, "1/16", ["2"] + ["1"] * (p // 2))
+    sectors = [Sector.full(p), Sector.virasoro()]
+    for j_set in symmetric_j_sets(p):
+        sectors += [Sector.heisenberg(j_set), Sector.complement(p, j_set)]
+    for sector in sectors:
+        module = VermaModule(alg, hw, sector)
+        for d in range(15):
+            assert module.graded_dim(d) == len(module.pbw_basis(d)), (sector, d)
 
 
 def test_sector_restrictions():
