@@ -281,7 +281,8 @@ def _cmd_reducibility(args):
         "rules": ["singular-vector-search", "gram-kernel-scan",
                   "irreducibility-product-criterion"],
     })
-    return _emit(args, report)
+    cross = report["crossCheck"]
+    return _emit(args, report, 0 if cross is None or cross["agreement"] else 1)
 
 
 def _cmd_sugawara_check(args):
@@ -290,7 +291,7 @@ def _cmd_sugawara_check(args):
     ok = True
     for m in range(-args.mode_window, args.mode_window + 1):
         for n in range(-args.mode_window, args.mode_window + 1):
-            rep = virasoro_relation_check(args.alg, args.hw, m, n, args.max_level)
+            rep = virasoro_relation_check(osc, m, n, args.max_level)
             ok = ok and rep["pass"]
             checks.append({k: rep[k] for k in ("m", "n", "maxLevel", "pass")})
     return _emit(args, {

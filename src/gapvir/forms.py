@@ -15,8 +15,9 @@ entry equals its per-entry value exactly.  Every level below d is built once
 and cached on the module, keyed by (theta, level); pairing() keeps the
 per-entry route as the independent reference.
 
-Definiteness is decided by LDL* with complete symmetric pivoting (largest
-|diagonal| first).  When every remaining diagonal entry vanishes but an
+Definiteness is decided by LDL* with complete symmetric pivoting: the
+nonzero diagonal entry of fewest bits (linalg.entry_size) goes first, the
+lowest index on a tie.  When every remaining diagonal entry vanishes but an
 off-diagonal one does not, the corresponding 2x2 principal block [[0,g],[g*,0]]
 contributes one positive and one negative inertia count; leading principal
 minors alone would misclassify such matrices.  Sylvester's law then turns the
@@ -34,6 +35,16 @@ their brackets end in C_i = 0.  The Fock form is diagonal on monomials, so
 its inertia is a count by sign (fock_sign_counts); only the Virasoro sector,
 whose levels are the multiples of p, needs an LDL*.
 
+reducibility_report decides a real weight on the full sector by the split:
+gramKernel and verdict come from split_inertia, and with full J the singular
+count at level d is that of psi's Virasoro sector when p | d, zero otherwise.
+The brute routes (the full Gram matrix, the full module's singular vectors)
+re-derive the levels up to split_check_level: those whose full dimension is
+at most the largest Virasoro-sector dimension the split used.  crossCheck
+records whether the routes agree; the CLI exits 1 when they do not.
+Partial-J singular vectors, complex weights and the restricted sectors stay
+brute.
+
 The closed forms are Virasoro statements: phi_virasoro is built from two
 kac_factor values, and kac_zeros is the one scan for its zeros, run at (h, c)
 by kac_scan and at psi, the gap-p criterion by the split, by phiCriterion.
@@ -44,7 +55,7 @@ from fractions import Fraction
 
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
-from .linalg import working_copy
+from .linalg import entry_size, working_copy
 from .oscillator import shifted_weight, virasoro_weight
 from .scalars import ONE, ZERO, Scalar, scalar, sign_of_real
 from .verma import EMPTY_MONOMIAL, Sector, VermaModule, partition_count
@@ -182,8 +193,9 @@ def definiteness(g):
     pivot_trail = []
     witness = ()
     while active:
-        best = max(active, key=lambda k: abs(real(a[k][k])))
-        if a[best][best]:
+        nonzero = [k for k in active if a[k][k]]
+        if nonzero:
+            best = min(nonzero, key=lambda k: entry_size(a[k][k]))
             d = real(a[best][best])
             pivot_trail.append(best)
             if d > 0:
@@ -299,6 +311,21 @@ def split_inertia(alg, hw, theta, max_level):
     return out
 
 
+def split_check_level(p, max_level):
+    """The highest level the brute routes re-derive after a split to max_level.
+
+    Those are the levels whose full dimension partition_count(d) is at most
+    that of the largest Virasoro-sector level the split eliminated,
+    partition_count(max_level // p), which bounds the brute cost by the
+    split's own.
+    """
+    cap = partition_count(max_level // p)
+    top = max_level // p
+    while top < max_level and partition_count(top + 1) <= cap:
+        top += 1
+    return top
+
+
 # -- closed-form Gram factors -----------------------------------------------
 
 
@@ -324,49 +351,64 @@ def kac_zeros(h, c, max_ab):
 
 
 def reducibility_report(module, max_level, max_ab=None):
-    """Level-by-level singular-vector and Gram-kernel scan.
+    """Level-by-level singular-vector and Gram-kernel scan, routed as in the module docstring.
 
-    Both routes run when the weight is real; otherwise only the
-    singular-vector route.  At the first level where either route fires the
-    two dimensions must agree, which is asserted by the test suite rather
-    than here.
+    crossCheck is None when nothing was split; a complex weight has no Gram
+    fields.
     """
-    hw = module.hw
-    theta = AntiInvolution.plus(hw.p)
-    use_gram = hw.is_real()
+    hw, alg, p = module.hw, module.alg, module.alg.p
+    theta = AntiInvolution.plus(p)
+    full = module.sector == Sector.full(p)
+    # the full module with every C_i nonzero is Fock(J) (x) Virasoro(psi)
+    full_j = full and hw.j_set() == frozenset(range(1, p))
+    split = full and hw.is_real()
+    if split:
+        inertia = split_inertia(alg, hw, theta, max_level)
+    elif hw.is_real():
+        inertia = [_brute_inertia(module, theta, d) for d in range(max_level + 1)]
+    else:
+        inertia = [None] * (max_level + 1)
+    vira = VermaModule(alg, shifted_weight(hw), Sector.virasoro()) if split and full_j else None
     levels = []
-    first_singular = None
-    for d in range(0, max_level + 1):
-        dim = module.graded_dim(d)
-        entry = {"d": d, "dim": dim}
-        sing = len(module.singular_vectors(d)) if d >= 1 and dim else 0
-        entry["singular"] = sing
-        if use_gram:
-            verdict = definiteness(gram(module, theta, d))
-            entry["gramKernel"] = verdict.kernel_dim
-            entry["verdict"] = verdict.kind
+    for d, dim in enumerate(module.graded_dims(max_level)):
+        if vira is None:
+            sing = _brute_singular(module, d)
         else:
-            entry["gramKernel"] = None
-            entry["verdict"] = None
-        if first_singular is None and (sing or entry["gramKernel"]):
-            first_singular = d
-        levels.append(entry)
+            sing = len(vira.singular_vectors(d)) if d and not d % p else 0
+        known = inertia[d] is not None
+        levels.append({"d": d, "dim": dim, "singular": sing,
+                       "gramKernel": inertia[d][2] if known else None,
+                       "verdict": verdict_kind(inertia[d]) if known else None})
+    cross = None
+    if split:
+        top = split_check_level(p, max_level)
+        agreement = all(_brute_inertia(module, theta, d) == inertia[d]
+                        and (vira is None or _brute_singular(module, d) == levels[d]["singular"])
+                        for d in range(top + 1))
+        cross = {"bruteMaxLevel": top, "agreement": agreement}
     report = {
         "phi": hw.describe(),
         "p": hw.p,
         "levels": levels,
-        "firstSingularLevel": first_singular,
+        "firstSingularLevel": next((e["d"] for e in levels if e["singular"] or e["gramKernel"]),
+                                   None),
+        "crossCheck": cross,
     }
     if max_ab:
-        # the full module with every C_i nonzero is Fock(J) (x) Virasoro(psi)
-        applicable = (module.sector == Sector.full(hw.p)
-                      and hw.j_set() == frozenset(range(1, hw.p)))
         psi = shifted_weight(hw)
         report["phiCriterion"] = {
-            "applicable": applicable,
-            "zeros": kac_zeros(psi.l0, psi.c_value(0), max_ab) if applicable else [],
+            "applicable": full_j,
+            "zeros": kac_zeros(psi.l0, psi.c_value(0), max_ab) if full_j else [],
         }
     return report
+
+
+def _brute_singular(module, d):
+    return len(module.singular_vectors(d)) if d and module.graded_dim(d) else 0
+
+
+def _brute_inertia(module, theta, d):
+    return definiteness(gram(module, theta, d)).inertia
 
 
 # -- Virasoro sub-case scan ----------------------------------------------------

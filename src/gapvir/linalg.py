@@ -5,7 +5,14 @@ Fractions, any other matrix on Scalars.  working_copy() applies the rule for
 every exact elimination (rank, nullspace, forms.definiteness), so only this
 module inspects entry types.  Meant for the desk-scale matrices this package
 produces (dimensions in the tens to low hundreds).
+
+Eliminations pivot by size: among the entries eligible as a pivot they take
+the one of fewest bits (entry_size), which keeps the growth of exact
+intermediate entries down.  The reduced row echelon form is unique, so the
+choice changes neither rank nor nullspace.
 """
+
+from fractions import Fraction
 
 from .scalars import ONE, ZERO, Scalar, scalar
 
@@ -18,6 +25,21 @@ def _real_part(v):
     return v.re
 
 
+def _bits(q):
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
+def entry_size(v):
+    """Bits of a nonzero exact entry: numerator plus denominator bit lengths.
+
+    A Scalar sums them over its nonzero parts, so a real Scalar has the size
+    of its Fraction and both entry paths pick the same pivots.
+    """
+    if type(v) is Fraction:
+        return _bits(v)
+    return _bits(v.re) + _bits(v.im) if v.im else _bits(v.re)
+
+
 def working_copy(rows):
     """Mutable copy of rows by the entry rule, with the matching conj and real-part maps."""
     if all(v.is_real() for row in rows for v in row):
@@ -26,17 +48,18 @@ def working_copy(rows):
 
 
 def row_reduce(rows, ncols):
-    """In-place reduced row echelon form of Fraction or Scalar rows; returns the pivot columns."""
+    """In-place reduced row echelon form of Fraction or Scalar rows; returns the pivot columns.
+
+    Column c's pivot is its smallest nonzero entry below the rows already
+    reduced, the first such row on a tie.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
+        candidates = [k for k in range(r, len(rows)) if rows[k][c]]
+        if not candidates:
             continue
+        pivot_row = min(candidates, key=lambda k: entry_size(rows[k][c]))
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         row = rows[r]
         inv = 1 / row[c]

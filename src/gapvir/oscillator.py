@@ -11,7 +11,9 @@ with :A_k B_l: = A_k B_l if k < l and B_l A_k otherwise.  On a vector of
 p-level d the mode sum truncates exactly: a term is nonzero only if its
 rightmost factor does not drop below level zero, so only modes
 max(k, n-k-1) <= (d-1)/p survive (all modes when both factors create).  The
-bound is recomputed per call from the vector itself.
+bound is recomputed per call from the vector itself.  OscillatorModule
+applies L_n monomial by monomial and memoizes each monomial's image, so a
+relation check over many (m, n) reuses them.
 
 The quadratic sum is generic over any module whose sector contains the J
 indices, which lets the same code drive both the Fock realization and
@@ -20,7 +22,7 @@ tensor-splitting checks inside the unrestricted Verma module.
 
 from fractions import Fraction
 
-from .algebra import KIND_C, KIND_L
+from .algebra import KIND_C, KIND_L, add_term
 from .errors import ConfigError
 from .scalars import ZERO, Scalar, scalar
 from .verma import HighestWeight, ModuleVector, Sector, VermaModule
@@ -79,6 +81,7 @@ class OscillatorModule:
         if not self.j_set:
             raise ConfigError("the Fock realization needs a nonempty J")
         self.fock = VermaModule(alg, hw, Sector.heisenberg(self.j_set))
+        self._l_images = {}  # sugawara_l(n, monomial's basis vector) by (n, monomial)
 
     def vacuum(self):
         return self.fock.highest_vector()
@@ -95,18 +98,26 @@ class OscillatorModule:
         return self.fock.act(g, vec)
 
     def sugawara_l(self, n, vec):
-        out = sugawara_sum(self.fock, self.j_set, self.hw.c_value, n, vec)
-        if n == 0:
-            out = out + gap_weight_sum(self.alg.p, self.j_set) * vec
-        return out
+        """L_n on a Fock vector, summed from the memoized images of its monomials."""
+        out = {}
+        for mono, c in vec.terms.items():
+            image = self._l_images.get((n, mono))
+            if image is None:
+                x = self.fock.basis_vector(mono)
+                image = sugawara_sum(self.fock, self.j_set, self.hw.c_value, n, x)
+                if n == 0:
+                    image = image + gap_weight_sum(self.alg.p, self.j_set) * x
+                self._l_images[n, mono] = image
+            for m2, c2 in image.terms.items():
+                add_term(out, m2, c * c2)
+        return ModuleVector(self.fock, out)
 
     def central_charge(self):
         return len(self.j_set)
 
 
-def virasoro_relation_check(alg, hw, m, n, max_level):
-    """Check the Virasoro relation for the realized L_m, L_n on all levels <= max_level."""
-    osc = OscillatorModule(alg, hw)
+def virasoro_relation_check(osc, m, n, max_level):
+    """Check the Virasoro relation for osc's realized L_m, L_n on all levels <= max_level."""
     central = Fraction(m ** 3 - m, 12) * osc.central_charge() if m + n == 0 else Fraction(0)
     failures = []
     for d in range(0, max_level + 1):

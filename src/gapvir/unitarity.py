@@ -22,9 +22,10 @@ the strict variant and any point where the variants differ is flagged.
 The oracle gives the inertia of the contravariant form at every level by one
 of two routes.  For a real weight and real beta it takes the split route,
 Fock(J) (x) Virasoro(shifted weight) (forms.split_inertia); the full Gram
-route then re-derives every level whose full dimension is at most that of
-the largest Virasoro-sector level the split eliminated, and the two must
-agree.  Any other weight or beta takes the full Gram route at every level.
+route then re-derives every level up to forms.split_check_level, those
+whose full dimension is at most that of the largest Virasoro-sector level
+the split eliminated, and the two must agree.  Any other weight or beta
+takes the full Gram route at every level.
 """
 
 from fractions import Fraction
@@ -32,11 +33,12 @@ from math import floor, isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
-from .forms import PD, PSD_SINGULAR, definiteness, gram, split_inertia, verdict_kind
+from .forms import (PD, PSD_SINGULAR, definiteness, gram, split_check_level, split_inertia,
+                    verdict_kind)
 from .oscillator import gap_weight_sum, shifted_weight
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
-from .verma import HighestWeight, VermaModule, partition_count
+from .verma import HighestWeight, VermaModule
 
 def heisenberg_condition(hw, beta):
     """Per-index report on beta_i phi(C_i) for i in J: reality and sign."""
@@ -156,19 +158,17 @@ def _full_level(module, theta, d):
 def full_gram_cross_check(alg, hw, beta, oracle):
     """Re-derive split-route levels by the full Gram route; None if no level was split.
 
-    It takes the levels whose full dimension partition_count(d) is at most
-    that of the largest Virasoro-sector level the split eliminated, which
-    bounds the full route's cost by the split's own.
+    It takes the levels up to forms.split_check_level, which bounds the full
+    route's cost by the split's own.
     """
     if oracle[0]["route"] != "split":
         return None
-    cap = partition_count((len(oracle) - 1) // hw.p)
-    checked = [e for e in oracle if partition_count(e["d"]) <= cap]
+    top = split_check_level(hw.p, len(oracle) - 1)
     module = VermaModule(alg, hw)
     theta = AntiInvolution.plus(hw.p, 1, check_beta(hw.p, beta))
     agreement = all(_full_level(module, theta, e["d"])["inertia"] == e["inertia"]
-                    for e in checked)
-    return {"fullGramMaxLevel": checked[-1]["d"], "agreement": agreement}
+                    for e in oracle[:top + 1])
+    return {"fullGramMaxLevel": top, "agreement": agreement}
 
 
 def oracle_is_psd(levels):

@@ -107,7 +107,7 @@ def test_criterion_4_sugawara_realization():
             assert osc.central_charge() == len(j_set)
             for m in range(-3, 4):
                 for n in range(-3, 4):
-                    rep = virasoro_relation_check(alg, hw, m, n, 10)
+                    rep = virasoro_relation_check(osc, m, n, 10)
                     assert rep["pass"], (p, j_set, m, n, rep["failures"][:1])
     alg2 = GapVirasoro(2)
     osc2 = OscillatorModule(alg2, HighestWeight.make(2, "1/16", ["2", "1"]))

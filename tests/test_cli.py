@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gapvir import forms
 from gapvir.cli import main
 
 
@@ -135,6 +136,26 @@ def test_verdict_failure_exit_code(capsys):
                                  "--f", '[["1","1","1"],["1","1","2"]]'])
     assert code == 1
     assert not json.loads(out)["pass"]
+
+
+def test_reducibility_split_brute_disagreement_exits_one(capsys, monkeypatch):
+    split_inertia = forms.split_inertia
+
+    def skewed(alg, hw, theta, max_level):
+        out = split_inertia(alg, hw, theta, max_level)
+        pos, neg, zero = out[2]
+        out[2] = (pos - 1, neg, zero + 1)
+        return out
+
+    argv = ["reducibility", "--p", "2", "--l0", "0", "--c0", "1", "--c1", "1", "--max-level", "4"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["crossCheck"] == {"agreement": True, "bruteMaxLevel": 2}
+    monkeypatch.setattr(forms, "split_inertia", skewed)
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 1
+    assert report["crossCheck"] == {"agreement": False, "bruteMaxLevel": 2}
+    assert report["levels"][2]["gramKernel"] == 1 and report["firstSingularLevel"] == 2
 
 
 def test_guardrail_on_max_level(capsys, monkeypatch):

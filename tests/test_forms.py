@@ -9,7 +9,7 @@ from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           GramMatrix, definiteness, gram, kac_factor, kac_scan,
                           kac_zeros, pairing, phi_virasoro, reducibility_report,
-                          virasoro_module)
+                          split_check_level, virasoro_module)
 from gapvir.oscillator import shifted_weight
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight, Sector, VermaModule
@@ -131,6 +131,46 @@ def test_definiteness_agrees_with_kernel_rank():
         v = definiteness(g)
         assert sum(v.inertia) == n
         assert v.inertia[2] == n - rank(g.entries, n)
+
+
+def descartes_inertia(entries):
+    """Inertia of a Hermitian matrix from its characteristic polynomial.
+
+    The polynomial is real-rooted, so Descartes' sign count is exact: the sign
+    changes of its coefficients count the positive eigenvalues, and those of
+    p(-x) the negative ones.  Coefficients by Faddeev-LeVerrier.
+    """
+    n = len(entries)
+    coeffs = [Scalar(1)]  # x^n, x^(n-1), ..., x^0
+    m = [[Scalar(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum((entries[a][t] * m[t][b] for t in range(n)), Scalar(0))
+              + (coeffs[-1] if a == b else Scalar(0)) for b in range(n)] for a in range(n)]
+        trace = sum((entries[a][t] * m[t][a] for a in range(n) for t in range(n)), Scalar(0))
+        coeffs.append(trace * Scalar(Fraction(-1, k)))
+
+    def changes(values):
+        signs = [v.re > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    pos = changes(coeffs)
+    neg = changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return pos, neg, n - pos - neg
+
+
+def test_size_pivoted_ldl_inertia_matches_the_characteristic_polynomial():
+    rng = random.Random(4409)
+    for case in range(60):
+        n = rng.randint(1, 6)
+        m = _real_symmetric(rng, n)
+        if case % 2:
+            unit = [scalar(rng.choice(UNIT_GAUSSIAN)) for _ in range(n)]
+            m = [[unit[a] * m[a][b] * unit[b].conj() for b in range(n)] for a in range(n)]
+        # spread the entry sizes so the smallest and the largest diagonal differ
+        scale = [Scalar(Fraction(rng.choice((1, 3, 97)), rng.choice((1, 5, 128))))
+                 for _ in range(n)]
+        m = [[scale[a] * m[a][b] * scale[b] for b in range(n)] for a in range(n)]
+        assert definiteness(hermitian(m)).inertia == descartes_inertia(m), m
 
 
 GRAM_CASES = [
@@ -386,3 +426,49 @@ def test_kac_scan_direction_on_small_grid():
     grid = report["grid"][0]
     assert report["setsEqual"]
     assert grid["criterionZeroWeights"] == ["0", "1/16", "1/2"]
+
+
+def seeded_weight(rng, p, family):
+    """A real weight at p: full J generic, full J with psi on a Kac zero, or partial J."""
+    vacuum = sum(Fraction(j * (p - j), 4 * p * p) for j in range(1, p))
+    central = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+               for _ in range(p // 2)]
+    if family == "partial":
+        # p = 4 drops C_1 or C_2; at p = 2, 3 the only partial J is empty
+        if p == 4:
+            central[rng.randrange(2)] = 0
+        else:
+            central = [0] * len(central)
+        return HighestWeight.make(p, Fraction(rng.randint(-4, 8), 8),
+                                  [Fraction(rng.randint(1, 12), 4)] + central)
+    if family == "kac-zero":
+        t = rng.choice((Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2), Fraction(4, 3)))
+        r = rng.randint(1, 8 // p)
+        s = rng.randint(1, 8 // p // r)
+        h, c = ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t), 13 - 6 * (t + 1 / t)
+    else:
+        h, c = Fraction(rng.randint(0, 32), 16), Fraction(rng.randint(-8, 20), 4)
+    return HighestWeight.make(p, h + vacuum, [c + p - 1] + central)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("family", ["generic", "kac-zero", "partial"])
+def test_split_reducibility_matches_the_brute_routes(p, family):
+    rng = random.Random("%d/%s" % (p, family))
+    alg = GapVirasoro(p)
+    theta = AntiInvolution.plus(p)
+    for _ in range(2):
+        hw = seeded_weight(rng, p, family)
+        assert (hw.j_set() == frozenset(range(1, p))) == (family != "partial")
+        report = reducibility_report(VermaModule(alg, hw), 8)
+        assert report["crossCheck"] == {"bruteMaxLevel": split_check_level(p, 8),
+                                        "agreement": True}
+        brute = VermaModule(alg, hw)
+        for d, entry in enumerate(report["levels"]):
+            verdict = definiteness(gram(brute, theta, d))
+            sing = len(brute.singular_vectors(d)) if d else 0
+            assert entry == {"d": d, "dim": len(brute.pbw_basis(d)), "singular": sing,
+                             "gramKernel": verdict.kernel_dim, "verdict": verdict.kind}, (hw, d)
+        if family == "kac-zero":
+            assert report["firstSingularLevel"] is not None
+

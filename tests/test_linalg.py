@@ -1,9 +1,10 @@
-"""Both entry paths of linalg.nullspace and linalg.rank on rectangular matrices."""
+"""Both entry paths of linalg.nullspace and linalg.rank on rectangular matrices, and
+size-pivoted row reduction against the first-nonzero elimination."""
 
 import random
 from fractions import Fraction
 
-from gapvir.linalg import nullspace, rank, row_reduce, working_copy
+from gapvir.linalg import entry_size, nullspace, rank, row_reduce, working_copy
 from gapvir.scalars import Scalar
 
 UNIT = Scalar(Fraction(3, 5), Fraction(4, 5))
@@ -65,3 +66,67 @@ def test_nullspace_and_rank_on_both_entry_paths():
             assert isinstance(working_copy(scaled)[0][0][0], Scalar)
             assert not isinstance(working_copy(rows)[0][0][0], Scalar)
     assert {(True, False), (False, True)} <= shapes
+
+
+def first_nonzero_row_reduce(rows, ncols):
+    """Reference elimination: the first nonzero entry of a column is its pivot."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for j, other in enumerate(rows):
+            f = other[c]
+            if j != r and f:
+                rows[j] = [a - f * b for a, b in zip(other, rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def sized_matrix(rng, complex_entries):
+    """Tall, wide or square, rank <= k, with entries of widely spread bit sizes."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    k = rng.randint(0, min(nrows, ncols))
+
+    def part():
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 7, 64, 999)))
+
+    def entry():
+        return Scalar(part(), part() if complex_entries and rng.random() < 0.7 else 0)
+
+    left = [[entry() for _ in range(k)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(k)]
+    return [[sum((left[r][t] * right[t][c] for t in range(k)), Scalar.zero())
+             for c in range(ncols)] for r in range(nrows)], ncols
+
+
+def test_size_pivot_gives_the_first_nonzero_echelon_form():
+    # the reduced row echelon form is unique, whichever entry pivots
+    rng = random.Random(6151)
+    shapes = set()
+    moved = 0
+    for case in range(80):
+        rows, ncols = sized_matrix(rng, complex_entries=case % 2 == 1)
+        shapes.add((len(rows) > ncols, len(rows) < ncols, rank(rows, ncols) < min(len(rows), ncols)))
+        work = working_copy(rows)[0]
+        column = [row[0] for row in work if row[0]]
+        moved += bool(column) and entry_size(column[0]) > min(map(entry_size, column))
+        reference = [list(row) for row in work]
+        assert row_reduce(work, ncols) == first_nonzero_row_reduce(reference, ncols)
+        assert work == reference
+    assert moved >= 10
+    assert {(True, False, True), (False, True, True), (False, False, False)} <= shapes
+
+
+def test_entry_size_counts_numerator_and_denominator_bits():
+    assert entry_size(Fraction(-5, 8)) == 3 + 4
+    assert entry_size(Scalar(Fraction(-5, 8))) == entry_size(Fraction(-5, 8))
+    assert entry_size(Scalar(Fraction(3, 5), Fraction(-4, 5))) == (2 + 3) + (3 + 3)
+    assert entry_size(Scalar(0, Fraction(1, 2))) == (0 + 1) + (1 + 2)

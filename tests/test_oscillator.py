@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gapvir.algebra import GapVirasoro
 from gapvir.errors import ConfigError
 from gapvir.oscillator import (OscillatorModule, gap_weight_sum, shifted_weight,
-                               virasoro_relation_check)
+                               sugawara_sum, virasoro_relation_check)
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight
 
@@ -84,16 +85,35 @@ def test_realized_lowering_action():
 def test_virasoro_relations_p2(m, n):
     alg = GapVirasoro(2)
     hw = HighestWeight.make(2, "1/16", ["2", "1"])
-    assert virasoro_relation_check(alg, hw, m, n, 8)["pass"]
+    assert virasoro_relation_check(OscillatorModule(alg, hw), m, n, 8)["pass"]
+
+
+def test_memoized_sugawara_l_matches_the_direct_mode_sum():
+    # sugawara_sum on the whole vector, with one truncation bound, is the reference
+    rng = random.Random(3301)
+    for p, cvals in ((2, ["2", "1"]), (3, ["2", "-1"]), (4, ["1", "0", "2"])):
+        alg = GapVirasoro(p)
+        hw = HighestWeight.make(p, "1/5", cvals)
+        osc = OscillatorModule(alg, hw)
+        for _ in range(12):
+            d = rng.randint(0, 7)
+            basis = [m for e in range(d + 1) for m in osc.fock.pbw_basis(e)]
+            vec = osc.fock.vector({m: Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                                   for m in rng.sample(basis, min(4, len(basis)))})
+            for n in range(-3, 4):
+                direct = sugawara_sum(osc.fock, osc.j_set, hw.c_value, n, vec)
+                if n == 0:
+                    direct = direct + gap_weight_sum(p, osc.j_set) * vec
+                assert osc.sugawara_l(n, vec) == direct == osc.sugawara_l(n, vec), (p, n)
 
 
 def test_virasoro_relations_p3_with_central_term():
     alg = GapVirasoro(3)
     hw = HighestWeight.make(3, "0", ["2", "1"])
-    rep = virasoro_relation_check(alg, hw, 2, -2, 7)
+    osc = OscillatorModule(alg, hw)
+    rep = virasoro_relation_check(osc, 2, -2, 7)
     assert rep["pass"]
     # the central contribution there is (8-2)/12 * |J| = 1
-    osc = OscillatorModule(alg, hw)
     assert Fraction(2 ** 3 - 2, 12) * osc.central_charge() == 1
 
 
@@ -101,8 +121,9 @@ def test_virasoro_relations_p3_with_central_term():
 def test_relations_across_central_values(cvals):
     alg = GapVirasoro(2)
     hw = HighestWeight.make(2, "0", cvals)
+    osc = OscillatorModule(alg, hw)
     for m, n in [(1, -1), (2, -2), (2, 1)]:
-        assert virasoro_relation_check(alg, hw, m, n, 6)["pass"]
+        assert virasoro_relation_check(osc, m, n, 6)["pass"]
 
 
 def test_mixed_relation_with_heisenberg_modes():
