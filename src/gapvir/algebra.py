@@ -67,13 +67,16 @@ class Combination:
     __slots__ = ("space", "terms")
 
     def __init__(self, space, terms=None):
+        """terms: a dict (distinct keys) or a list of (key, coefficient) pairs, merged by key."""
         self.space = space
+        if isinstance(terms, dict):
+            self.terms = {k: s for k, c in terms.items() if (s := scalar(c))}
+            return
         self.terms = {}
-        if terms:
-            for k, c in terms.items() if isinstance(terms, dict) else terms:
-                c = scalar(c)
-                if c:
-                    add_term(self.terms, k, c)
+        for k, c in terms or ():
+            c = scalar(c)
+            if c:
+                add_term(self.terms, k, c)
 
     def is_zero(self):
         return not self.terms

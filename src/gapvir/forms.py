@@ -32,18 +32,23 @@ real weight and real beta the module splits as Fock(J) (x) Virasoro(psi),
 psi = shifted_weight(hw), and the form is the product of the two factors'
 forms; monomials with an I^i factor, i not in J, lie in the radical, since
 their brackets end in C_i = 0.  The Fock form is diagonal on monomials, so
-its inertia is a count by sign (fock_sign_counts); only the Virasoro sector,
-whose levels are the multiples of p, needs an LDL*.
+its inertia is a count by sign (fock_sign_counts).  The Virasoro sector's
+levels are the multiples of p; kac_wall_inertia decides those where psi lies
+on one side of every Kac wall, and only the others run an LDL*.
 
-reducibility_report decides a real weight on the full sector by the split:
-gramKernel and verdict come from split_inertia, and with full J the singular
-count at level d is that of psi's Virasoro sector when p | d, zero otherwise.
-The brute routes (the full Gram matrix, the full module's singular vectors)
-re-derive the levels up to split_check_level: those whose full dimension is
-at most the largest Virasoro-sector dimension the split used.  crossCheck
-records whether the routes agree; the CLI exits 1 when they do not.
-Partial-J singular vectors, complex weights and the restricted sectors stay
-brute.
+reducibility_report decides every weight on the full sector by the split.
+J is symmetric, so [I^j, I^i] = 0 for j in J and i not in J: the
+Sugawara-shifted L commutes with Fock(J), and the module is Fock(J) (x)
+M_rest(psi), M_rest the Verma module of psi's complement sector (L and the
+I^i with i not in J; the Virasoro sector when J is full).  Fock(J) is
+irreducible, so the singular count at every level is that of M_rest(psi);
+this needs no real weight.  For a real weight, gramKernel and verdict come
+from split_inertia; a complex weight has no Gram fields.  The brute routes
+(the full Gram matrix, the full module's singular vectors) re-derive the
+levels up to split_check_level: those whose full dimension is at most the
+largest Virasoro-sector dimension the split used.  crossCheck records
+whether the routes agree (singular counts alone for a complex weight); the
+CLI exits 1 when they do not.  The restricted sectors stay brute.
 
 The closed forms are Virasoro statements: phi_virasoro is built from two
 kac_factor values, and kac_zeros is the one scan for its zeros, run at (h, c)
@@ -265,6 +270,21 @@ def verdict_kind(inertia):
 # -- split route ----------------------------------------------------------------
 
 
+def _signed_partition_counts(parts, max_level):
+    """[positive, negative] partition counts at levels 0..max_level, parts given as (size, flips).
+
+    A partition's sign is the product of its parts' signs, so adding a part
+    of size s moves the counts at d - s to d, swapped when the part flips.
+    """
+    counts = [[1, 0]] + [[0, 0] for _ in range(max_level)]
+    for s, flip in parts:
+        for d in range(s, max_level + 1):
+            pos, neg = counts[d - s]
+            counts[d][0] += neg if flip else pos
+            counts[d][1] += pos if flip else neg
+    return counts
+
+
 def fock_sign_counts(module, theta, max_level):
     """[positive, negative] norm counts of an L-free sector's monomials, levels 0..max_level.
 
@@ -273,38 +293,76 @@ def fock_sign_counts(module, theta, max_level):
     partition DP over the factor sizes counts the monomials of each sign.
     """
     alg, p = module.alg, module.alg.p
-    counts = [[1, 0]] + [[0, 0] for _ in range(max_level)]
+    parts = []
     for s in module._part_sizes(max_level):
         i = -s % p  # the factor of size s = m p - i
         f = alg.I(-((s + i) // p), i)
         g, c = theta.image_of(f)
         norm = sum((c * coeff * module.hw.c_value(h.n) for h, coeff in alg.bracket_gens(g, f)),
                    ZERO)
-        flip = sign_of_real(norm) < 0
-        for d in range(s, max_level + 1):
-            pos, neg = counts[d - s]
-            counts[d][0] += neg if flip else pos
-            counts[d][1] += pos if flip else neg
-    return counts
+        parts.append((s, sign_of_real(norm) < 0))
+    return _signed_partition_counts(parts, max_level)
+
+
+def kac_wall_inertia(psi, max_n):
+    """Virasoro-sector inertia that the Kac walls decide at levels 0..N, N <= max_n.
+
+    psi is a real Virasoro weight (h', c'), and the form is that of theta with
+    alpha = 1.  By Kac's determinant formula, det G_n vanishes exactly where
+    some phi_virasoro(h, c', a, b) with ab <= n does, and each of these is a
+    monic quadratic in h, whose real roots are the walls.  A wall enters at
+    level ab, and is classified by exact signs: phi(h') <= 0 puts h' on or
+    between its roots; otherwise a negative discriminant (A + B)^2 - 4 phi(0),
+    A and B the kac_factor constants, means no real root, and the vertex
+    -(A + B)/2 tells whether both roots lie below or above h'.  The form is PD
+    for h -> +infinity and has sign (-1)^length on the partition basis for
+    h -> -infinity, so by continuity a level with no wall at or above h' is
+    PD, and one with no wall at or below h' has inertia (#even-length,
+    #odd-length, 0) partitions.  Both sets of certified levels are prefixes,
+    so the triples of levels 0..N are returned; level N + 1 needs the LDL.
+    """
+    h, c = psi.l0, psi.c_value(0)
+    up = down = max_n + 1  # first level with a wall at or above h', at or below h'
+    for a in range(1, max_n + 1):
+        for b in range(a, max_n // a + 1):  # phi is symmetric in (a, b)
+            level = a * b
+            if phi_virasoro(h, c, a, b).re <= 0:
+                up, down = min(up, level), min(down, level)
+                continue
+            sum_ab = kac_factor(0, c, a, b) + kac_factor(0, c, b, a)  # A + B, -2 * vertex
+            if (sum_ab * sum_ab - 4 * phi_virasoro(0, c, a, b)).re < 0:
+                continue
+            if -sum_ab.re < 2 * h.re:
+                down = min(down, level)
+            else:
+                up = min(up, level)
+    parity = _signed_partition_counts([(s, True) for s in range(1, max_n + 1)], max_n)
+    return [(partition_count(n), 0, 0) if n < up else (even, odd, 0)
+            for n, (even, odd) in enumerate(parity[:max(up, down)])]
 
 
 def split_inertia(alg, hw, theta, max_level):
     """Inertia triple of the full module's form at levels 0..max_level, by the split.
 
-    Needs a real weight and real beta.  pos = sum F+ V+ + F- V-, neg = sum
-    F+ V- + F- V+ over Fock level d - b and Virasoro level b; the rest of
-    partition_count(d) is the zero count, the radical of a partial J included.
+    Needs a real weight and real beta, and alpha = 1.  pos = sum F+ V+ + F- V-,
+    neg = sum F+ V- + F- V+ over Fock level d - n p and Virasoro level n; the
+    rest of partition_count(d) is the zero count, the radical of a partial J
+    included.  V comes from kac_wall_inertia where it certifies a level, from
+    the LDL of psi's Virasoro-sector Gram matrix otherwise.
     """
+    p = alg.p
     fock = fock_sign_counts(VermaModule(alg, hw, Sector.heisenberg(hw.j_set())), theta,
                             max_level)
-    vira = VermaModule(alg, shifted_weight(hw), Sector.virasoro())
-    vir = [(b, definiteness(gram(vira, theta, b)).inertia)
-           for b in range(0, max_level + 1, alg.p)]
+    psi = shifted_weight(hw)
+    vira = VermaModule(alg, psi, Sector.virasoro())
+    vir = kac_wall_inertia(psi, max_level // p)
+    vir += [definiteness(gram(vira, theta, n * p)).inertia
+            for n in range(len(vir), max_level // p + 1)]
     out = []
     for d in range(max_level + 1):
         pos = neg = 0
-        for b, (v_pos, v_neg, _) in vir[:d // alg.p + 1]:
-            f_pos, f_neg = fock[d - b]
+        for n, (v_pos, v_neg, _) in enumerate(vir[:d // p + 1]):
+            f_pos, f_neg = fock[d - n * p]
             pos += f_pos * v_pos + f_neg * v_neg
             neg += f_pos * v_neg + f_neg * v_pos
         out.append((pos, neg, partition_count(d) - pos - neg))
@@ -353,37 +411,32 @@ def kac_zeros(h, c, max_ab):
 def reducibility_report(module, max_level, max_ab=None):
     """Level-by-level singular-vector and Gram-kernel scan, routed as in the module docstring.
 
-    crossCheck is None when nothing was split; a complex weight has no Gram
+    crossCheck is None on a restricted sector; a complex weight has no Gram
     fields.
     """
     hw, alg, p = module.hw, module.alg, module.alg.p
     theta = AntiInvolution.plus(p)
     full = module.sector == Sector.full(p)
-    # the full module with every C_i nonzero is Fock(J) (x) Virasoro(psi)
-    full_j = full and hw.j_set() == frozenset(range(1, p))
-    split = full and hw.is_real()
-    if split:
+    if full and hw.is_real():
         inertia = split_inertia(alg, hw, theta, max_level)
     elif hw.is_real():
         inertia = [_brute_inertia(module, theta, d) for d in range(max_level + 1)]
     else:
         inertia = [None] * (max_level + 1)
-    vira = VermaModule(alg, shifted_weight(hw), Sector.virasoro()) if split and full_j else None
+    # the full module is Fock(J) (x) M_rest(psi), and Fock(J) is irreducible
+    rest = (VermaModule(alg, shifted_weight(hw), Sector.complement(p, hw.j_set())) if full
+            else module)
     levels = []
     for d, dim in enumerate(module.graded_dims(max_level)):
-        if vira is None:
-            sing = _brute_singular(module, d)
-        else:
-            sing = len(vira.singular_vectors(d)) if d and not d % p else 0
         known = inertia[d] is not None
-        levels.append({"d": d, "dim": dim, "singular": sing,
+        levels.append({"d": d, "dim": dim, "singular": _brute_singular(rest, d),
                        "gramKernel": inertia[d][2] if known else None,
                        "verdict": verdict_kind(inertia[d]) if known else None})
     cross = None
-    if split:
+    if full:
         top = split_check_level(p, max_level)
-        agreement = all(_brute_inertia(module, theta, d) == inertia[d]
-                        and (vira is None or _brute_singular(module, d) == levels[d]["singular"])
+        agreement = all((inertia[d] is None or _brute_inertia(module, theta, d) == inertia[d])
+                        and _brute_singular(module, d) == levels[d]["singular"]
                         for d in range(top + 1))
         cross = {"bruteMaxLevel": top, "agreement": agreement}
     report = {
@@ -396,6 +449,7 @@ def reducibility_report(module, max_level, max_ab=None):
     }
     if max_ab:
         psi = shifted_weight(hw)
+        full_j = full and hw.j_set() == frozenset(range(1, p))
         report["phiCriterion"] = {
             "applicable": full_j,
             "zeros": kac_zeros(psi.l0, psi.c_value(0), max_ab) if full_j else [],

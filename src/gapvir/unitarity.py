@@ -21,11 +21,12 @@ the strict variant and any point where the variants differ is flagged.
 
 The oracle gives the inertia of the contravariant form at every level by one
 of two routes.  For a real weight and real beta it takes the split route,
-Fock(J) (x) Virasoro(shifted weight) (forms.split_inertia); the full Gram
-route then re-derives every level up to forms.split_check_level, those
-whose full dimension is at most that of the largest Virasoro-sector level
-the split eliminated, and the two must agree.  Any other weight or beta
-takes the full Gram route at every level.
+Fock(J) (x) Virasoro(shifted weight) (forms.split_inertia), whose Virasoro
+levels off the Kac walls need no elimination (forms.kac_wall_inertia); the
+full Gram route then re-derives every level up to forms.split_check_level,
+those whose full dimension is at most that of the largest Virasoro-sector
+level the split eliminated, and the two must agree.  Any other weight or
+beta takes the full Gram route at every level.
 """
 
 from fractions import Fraction
@@ -33,8 +34,8 @@ from math import floor, isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
-from .forms import (PD, PSD_SINGULAR, definiteness, gram, split_check_level, split_inertia,
-                    verdict_kind)
+from .forms import (PD, PSD_SINGULAR, definiteness, gram, kac_wall_inertia, split_check_level,
+                    split_inertia, verdict_kind)
 from .oscillator import gap_weight_sum, shifted_weight
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
@@ -127,8 +128,9 @@ def highest_weight_unitary(hw, beta):
 def unitarity_oracle(alg, hw, beta, max_level):
     """Per-level inertia of the form of theta with alpha = 1 and the given beta.
 
-    Each level names its route: "split" for a real weight and real beta,
-    "full" otherwise.  A level whose full Gram matrix fails to be Hermitian
+    Each level names its route: for a real weight and real beta, "kac-wall"
+    on a level d >= p whose Virasoro levels 1..d // p the Kac walls certify,
+    "split" on the others; "full" otherwise.  A level whose full Gram matrix fails to be Hermitian
     is reported as "not-hermitian": no contravariant Hermitian form exists
     for that weight and involution, which settles the verdict negatively
     just as a negative eigenvalue would.
@@ -136,7 +138,9 @@ def unitarity_oracle(alg, hw, beta, max_level):
     beta = check_beta(hw.p, beta)
     theta = AntiInvolution.plus(hw.p, 1, beta)
     if hw.is_real() and all(b.is_real() for b in beta):
-        return [_oracle_level(d, inertia, "split")
+        # Virasoro levels 1..top are certified; a level below p has none to certify
+        top = len(kac_wall_inertia(shifted_weight(hw), max_level // hw.p)) - 1
+        return [_oracle_level(d, inertia, "kac-wall" if 1 <= d // hw.p <= top else "split")
                 for d, inertia in enumerate(split_inertia(alg, hw, theta, max_level))]
     module = VermaModule(alg, hw)
     return [_full_level(module, theta, d) for d in range(max_level + 1)]

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gapvir.algebra import (AntiInvolution, GapVirasoro,
+from gapvir.algebra import (AntiInvolution, Element, GapVirasoro,
                             involution_axiom_report, sample_involution)
 from gapvir.errors import ConfigError
-from gapvir.scalars import scalar
+from gapvir.scalars import Scalar, scalar
 
 
 def bracket_gen(alg, a, b):
@@ -162,3 +162,16 @@ def test_element_round_trip_pure_imaginary_coefficient():
     assert alg.parse_element(str(x)) == x
     y = alg.bracket(alg.gen_element(alg.L(2), "1*i"), alg.gen_element(alg.L(-2)))
     assert alg.parse_element(str(y)) == y
+
+
+def test_combination_merges_pairs_and_drops_zeros():
+    # a dict has distinct keys and is copied with zeros dropped; a list of
+    # pairs, as parse_element passes it, is merged key by key
+    alg = GapVirasoro(2)
+    L2, L1 = alg.L(2), alg.L(1)
+    x = Element(2, {L2: "1/2", L1: 0, alg.C(0): Scalar(0, 1)})
+    assert x.terms == {L2: scalar("1/2"), alg.C(0): scalar("i")}
+    y = Element(2, [(L2, "1/2"), (L1, 0), (L2, "1/2"), (L1, 3), (L1, -3)])
+    assert y.terms == {L2: scalar(1)}
+    assert Element(2, [(L2, 1), (L2, -1)]).is_zero() and Element(2, {}).is_zero()
+    assert alg.parse_element("L[2] + 2*L[1] + -1*L[2]") == Element(2, {L1: 2})

@@ -6,6 +6,7 @@ import pytest
 
 from gapvir import forms
 from gapvir.cli import main
+from gapvir.verma import Sector, VermaModule
 
 
 def run_cli(capsys, argv):
@@ -156,6 +157,27 @@ def test_reducibility_split_brute_disagreement_exits_one(capsys, monkeypatch):
     assert code == 1
     assert report["crossCheck"] == {"agreement": False, "bruteMaxLevel": 2}
     assert report["levels"][2]["gramKernel"] == 1 and report["firstSingularLevel"] == 2
+
+
+def test_reducibility_complement_brute_disagreement_exits_one(capsys, monkeypatch):
+    # a complex weight's singular counts come from psi's complement sector and
+    # are cross-checked against the full module's
+    singular_vectors = VermaModule.singular_vectors
+
+    def skewed(self, d):
+        out = singular_vectors(self, d)
+        return out + [None] if self.sector != Sector.full(self.alg.p) and d == 2 else out
+
+    argv = ["reducibility", "--p", "2", "--l0", "1/2+i", "--c0", "1", "--c1", "1",
+            "--max-level", "4"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["crossCheck"] == {"agreement": True, "bruteMaxLevel": 2}
+    monkeypatch.setattr(VermaModule, "singular_vectors", skewed)
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 1
+    assert report["crossCheck"] == {"agreement": False, "bruteMaxLevel": 2}
+    assert report["levels"][2]["singular"] == 1 and report["levels"][2]["gramKernel"] is None
 
 
 def test_guardrail_on_max_level(capsys, monkeypatch):

@@ -8,9 +8,9 @@ from gapvir.errors import GramIntegrityError, UnsupportedInvolutionError
 from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           GramMatrix, definiteness, gram, kac_factor, kac_scan,
-                          kac_zeros, pairing, phi_virasoro, reducibility_report,
-                          split_check_level, virasoro_module)
-from gapvir.oscillator import shifted_weight
+                          kac_wall_inertia, kac_zeros, pairing, phi_virasoro,
+                          reducibility_report, split_check_level, virasoro_module)
+from gapvir.oscillator import gap_weight_sum, shifted_weight
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight, Sector, VermaModule
 
@@ -472,3 +472,104 @@ def test_split_reducibility_matches_the_brute_routes(p, family):
         if family == "kac-zero":
             assert report["firstSingularLevel"] is not None
 
+
+
+def kac_h(t, r, s):
+    """h_{r,s} at central charge 13 - 6(t + 1/t)."""
+    return ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
+
+
+def complement_weight(rng, p, family):
+    """A weight at p and the p-level of a singular vector it must have (or None).
+
+    Families: full J, partial J, complex L_0, complex C_j, psi on h_{1,1} = 0,
+    and psi on a complex Kac zero h_{r,s}(t), c' = 13 - 6(t + 1/t), t complex.
+    """
+    central = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)) for _ in range(p // 2)]
+    if family == "partial":
+        # p >= 4 keeps one C_j; at p = 2, 3 the only partial J is empty
+        keep = rng.randrange(len(central)) if p >= 4 else None
+        central = [c if k == keep else 0 for k, c in enumerate(central)]
+    central = [Scalar(c) for c in central]
+    if family == "complex-cj":
+        k = rng.randrange(len(central))
+        central[k] = Scalar(central[k].re, Fraction(rng.choice((-1, 1)), rng.randint(1, 3)))
+    j_set = frozenset(i for i in range(1, p) if central[min(i, p - i) - 1])
+    vacuum = gap_weight_sum(p, j_set)
+    h, c, level = Scalar(Fraction(rng.randint(-8, 16), 8)), Fraction(rng.randint(-8, 20), 4), None
+    if family == "complex-l0":
+        h = Scalar(h.re, Fraction(rng.choice((-1, 1)), rng.randint(1, 4)))
+    elif family == "h11":
+        h, level = Scalar(0), p
+    elif family == "complex-kac":
+        t = Scalar(rng.randint(1, 3), Fraction(rng.choice((-1, 1)), rng.randint(1, 3)))
+        r = rng.randint(1, 8 // p)
+        s = rng.randint(1, 8 // p // r)
+        h, c, level = kac_h(t, r, s), 13 - 6 * (t + 1 / t), p * r * s
+    return HighestWeight.make(p, h + vacuum, [c + len(j_set)] + central), level
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_complement_sector_carries_every_singular_vector(p):
+    # M(phi) = Fock(J) (x) M_rest(psi) with Fock(J) irreducible: the full
+    # module's singular vectors are vacuum (x) those of psi's complement sector
+    rng = random.Random("complement/%d" % p)
+    alg = GapVirasoro(p)
+    for family in ("full", "partial", "complex-l0", "complex-cj", "h11", "complex-kac"):
+        for _ in range(3):
+            hw, level = complement_weight(rng, p, family)
+            assert (hw.j_set() == frozenset(range(1, p))) == (family != "partial")
+            assert hw.is_real() == (family in ("full", "partial", "h11"))
+            full = VermaModule(alg, hw)
+            rest = VermaModule(alg, shifted_weight(hw), Sector.complement(p, hw.j_set()))
+            for d in range(1, 9):
+                count = len(full.singular_vectors(d))
+                assert len(rest.singular_vectors(d)) == count, (hw, d)
+                assert count or d != level, (hw, d)
+
+
+@pytest.mark.parametrize("p, l0, central", [(2, "1/2+i", ["1", "1"]),
+                                            (3, "1/3", ["4+1/2*i", "1"]),
+                                            (4, "1/3+1/2*i", ["1", "0", "1"])])
+def test_complex_reducibility_cross_checks_its_singular_counts(p, l0, central):
+    alg = GapVirasoro(p)
+    hw = HighestWeight.make(p, l0, central)
+    report = reducibility_report(VermaModule(alg, hw), 8)
+    assert report["crossCheck"] == {"bruteMaxLevel": split_check_level(p, 8), "agreement": True}
+    brute = VermaModule(alg, hw)
+    for entry in report["levels"]:
+        d = entry["d"]
+        assert entry["singular"] == (len(brute.singular_vectors(d)) if d else 0), (hw, d)
+        assert entry["gramKernel"] is None and entry["verdict"] is None
+
+
+def test_kac_wall_certificates_match_the_ldl():
+    # every certified Virasoro level up to 8 against the LDL: random points at
+    # c = 1, c = 25, c < 1, 1 < c < 25 and c > 25, the wall points h_{r,s}, and
+    # the vertices -(A + B)/2 of the wall quadratics
+    rng = random.Random("kac-wall")
+    alg = GapVirasoro(2)
+    theta = AntiInvolution.plus(2)
+    points = [(Fraction(rng.randint(-48, 48), rng.choice((1, 2, 3, 8, 16))), c)
+              for c in (Fraction(1), Fraction(25), Fraction(1, 2), Fraction(-2),
+                        Fraction(7, 10), Fraction(3, 2), Fraction(26))
+              for _ in range(5)]
+    on_wall = []
+    for t in (Fraction(3, 2), Fraction(4, 3), Fraction(5, 2), Fraction(1), Fraction(-2)):
+        for r, s in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)):
+            on_wall.append((kac_h(t, r, s), 13 - 6 * (t + 1 / t), r * s))
+    for c in (Fraction(1), Fraction(25), Fraction(1, 2), Fraction(3, 2), Fraction(26)):
+        for a, b in ((1, 2), (1, 3), (2, 3), (2, 2)):
+            points.append((-(kac_factor(0, c, a, b) + kac_factor(0, c, b, a)).re / 2, c))
+    kinds = set()
+    for h, c, wall in [(h, c, None) for h, c in points] + on_wall:
+        module = virasoro_module(alg, h, c)
+        certified = kac_wall_inertia(module.hw, 8)
+        assert certified[0] == (1, 0, 0)
+        for n, triple in enumerate(certified[1:], 1):
+            assert triple == definiteness(gram(module, theta, 2 * n)).inertia, (h, c, n)
+            kinds.add("positive-definite" if triple[1] == 0 else "parity")
+        if wall is not None:
+            # the wall through h' enters at level rs, which only the LDL decides
+            assert len(certified) <= wall, (h, c, wall)
+    assert kinds == {"positive-definite", "parity"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapvir import unitarity
+from gapvir import forms, unitarity
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.cli import main
 from gapvir.errors import ConfigError
@@ -249,6 +249,43 @@ def test_split_full_disagreement_exits_one(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["crossCheck"] == {"agreement": False, "fullGramMaxLevel": 2}
     assert report["clauses"]["closedForm"] and not report["agreement"]
+
+
+def test_kac_wall_routes_name_the_certified_levels():
+    # (1/3; 5/2, 1): psi = (13/48, 3/2) lies above every wall; the Ising
+    # weight puts psi on h_{1,1} = 0, so its Virasoro levels need the LDL
+    alg = GapVirasoro(2)
+    continuum = unitarity_verdict(alg, hw2("1/3", "5/2"), ["1"], 8)
+    assert [e["route"] for e in continuum["oracle"]] == ["split"] * 2 + ["kac-wall"] * 7
+    ising = unitarity_verdict(alg, hw2("1/16", "3/2"), ["1"], 8)
+    assert [e["route"] for e in ising["oracle"]] == ["split"] * 9
+    # c' = 1/2, h' = 1/10: certified at Virasoro level 1 only, since the walls
+    # h_{1,2} = 1/16 and h_{2,1} = 1/2 straddle it from level 2
+    partial = unitarity_verdict(alg, hw2(Fraction(1, 10) + Fraction(1, 16), "3/2"), ["1"], 8)
+    assert [e["route"] for e in partial["oracle"]] == ["split"] * 2 + ["kac-wall"] * 2 + [
+        "split"] * 5
+    for res in (continuum, ising, partial):
+        assert res["crossCheck"]["agreement"] and res["agreement"]
+
+
+def test_wrong_kac_wall_certificate_exits_one(monkeypatch, capsys):
+    certified = forms.kac_wall_inertia
+
+    def skewed(psi, max_n):
+        out = certified(psi, max_n)
+        out[1] = (0, 1, 0)
+        return out
+
+    argv = ["unitary-check", "--p", "2", "--l0", "1/3", "--c0", "5/2", "--c1", "1",
+            "--max-level", "4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"][2]["route"] == "kac-wall"
+    monkeypatch.setattr(forms, "kac_wall_inertia", skewed)
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle"][2]["inertia"] == [1, 1, 0]
+    assert report["crossCheck"] == {"agreement": False, "fullGramMaxLevel": 2}
+    assert not report["agreement"]
 
 
 def test_dualize_swaps_beta_components():
