@@ -12,8 +12,10 @@ with every C central.  Central indices obey the alias C_i = C_{p-i}, which is
 normalized away at construction: stored indices always satisfy j <= floor(p/2).
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import ConfigError
 from .scalars import ONE, Scalar, scalar
@@ -274,13 +276,11 @@ class GapVirasoro:
                 if c:
                     out.append((self.C(0), Scalar(c)))
             return out
-        if a.kind == KIND_L and b.kind == KIND_I:
-            coeff = -Fraction(b.n * p + b.i, p)
-            if not coeff:
-                return []
-            return [(self.I(a.n + b.n, b.i), Scalar(coeff))]
-        if a.kind == KIND_I and b.kind == KIND_L:
-            return [(g, -c) for g, c in self.bracket_gens(b, a)]
+        if a.kind != b.kind:
+            # [L_m, I_n^i] = -(n + i/p) I_{m+n}^i = -[I_n^i, L_m]; n + i/p is never 0
+            heis = b if a.kind == KIND_L else a
+            coeff = Fraction(heis.n * p + heis.i, p)
+            return [(self.I(a.n + b.n, heis.i), Scalar(-coeff if heis is b else coeff))]
         # I with I: needs i+j = p and m+n+1 = 0
         if a.i + b.i == p and a.n + b.n + 1 == 0:
             return [(self.C(a.i), Scalar(Fraction(a.n * p + a.i, p)))]
@@ -290,13 +290,7 @@ class GapVirasoro:
         """Bilinear extension of the basis relations."""
         if x.p != self.p or y.p != self.p:
             raise ConfigError("bracket operands built over a different p")
-        acc = {}
-        for gx, cx in x.terms.items():
-            for gy, cy in y.terms.items():
-                c = cx * cy
-                for g, s in self.bracket_gens(gx, gy):
-                    add_term(acc, g, c * s)
-        return Element(self.p, acc)
+        return Element(self.p, _bracket_terms(self.bracket_gens, x.terms, y.terms))
 
     def weight_of(self, g):
         """ad-L_0 eigenvalue: -n for L_n, -(n + i/p) for I_n^i, 0 for C_j."""
@@ -305,30 +299,6 @@ class GapVirasoro:
         if g.kind == KIND_I:
             return -Fraction(g.n * self.p + g.i, self.p)
         return Fraction(0)
-
-    def apply_involution(self, theta, x):
-        """Conjugate-linear extension of theta to an element."""
-        if theta.p != self.p or x.p != self.p:
-            raise ConfigError("involution and element disagree on p")
-        acc = {}
-        for g, c in x.terms.items():
-            h, s = theta.image_of(g)
-            add_term(acc, h, c.conj() * s)
-        return Element(self.p, acc)
-
-    def chevalley(self, x):
-        """Order-two linear automorphism exchanging raising and lowering parts.
-
-        L_n -> -L_{-n}, I_n^i -> -I_{-n-1}^{p-i}, C_j -> -C_j.  The labels
-        are those of the plus-type anti-involution with alpha = beta_i = 1; its
-        I-mode shift is the unique choice compatible with the mixed bracket,
-        since I_{-n-1}^{p-i} is the basis label of weight opposite to I_n^i.
-        """
-        theta = AntiInvolution.plus(self.p)
-        acc = {}
-        for g, c in x.terms.items():
-            add_term(acc, theta.image_of(g)[0], -c)
-        return Element(self.p, acc)
 
     # -- text ------------------------------------------------------------
 
@@ -340,10 +310,8 @@ class GapVirasoro:
         return Element(self.p, [self._parse_term(chunk) for chunk in _split_terms(s)])
 
     def _parse_term(self, chunk):
-        import re as _re
-
-        m = _re.match(r"^(?:(?P<coef>\([^)]*\)|[^*\[\]]*)\*)?(?P<kind>[LIC])\[(?P<idx>[-0-9,\s]+)\]$",
-                      chunk.replace(" ", ""))
+        m = re.match(r"^(?:(?P<coef>\([^)]*\)|[^*\[\]]*)\*)?(?P<kind>[LIC])\[(?P<idx>[-0-9,\s]+)\]$",
+                     chunk.replace(" ", ""))
         if not m:
             raise ConfigError("cannot parse term %r" % chunk)
         coef = m.group("coef")
@@ -361,6 +329,30 @@ class GapVirasoro:
         if len(idx) != 1:
             raise ConfigError("C takes one index: %r" % chunk)
         return self.C(idx[0]), c
+
+
+def _bracket_terms(bracket_gens, x, y):
+    """[x, y] on term dicts {Gen: Scalar}, from the given basis bracket."""
+    acc = {}
+    for gx, cx in x.items():
+        for gy, cy in y.items():
+            terms = bracket_gens(gx, gy)
+            if terms:
+                c = cx * cy
+                for g, s in terms:
+                    add_term(acc, g, c * s)
+    return acc
+
+
+def _involute(image_of, terms):
+    """theta of (Gen, Scalar) terms with distinct labels, extended conjugate-linearly."""
+    acc = {}
+    for g, c in terms:
+        h, s = image_of(g)
+        val = c.conj() * s
+        if val:  # an image with a zero coefficient adds no term
+            add_term(acc, h, val)
+    return acc
 
 
 def _split_terms(s):
@@ -440,32 +432,35 @@ def involution_axiom_report(alg, theta, lo=-4, hi=4):
     """Exact axiom checks for one anti-involution on the mode window [lo, hi].
 
     Covers theta^2 = id, conjugate-linearity, anti-multiplicativity, and
-    stability of the Virasoro and Heisenberg spans.
+    stability of the Virasoro and Heisenberg spans.  Tables local to the call
+    hold theta.image_of of each generator met, theta of each window generator
+    and bracket_gens of each ordered pair met, each computed once; every
+    generator and every pair (x, y) of the window is still compared.
     """
+    if theta.p != alg.p:
+        raise ConfigError("involution and element disagree on p")
     window = alg.basis_window(lo, hi)
+    image_of = cache(theta.image_of)
+    bracket_gens = cache(alg.bracket_gens)
     checks = {"square": True, "conjugateLinear": True,
               "antiMultiplicative": True, "stability": True}
     probe = Scalar(Fraction(2, 3), Fraction(1, 5))
+    allowed = {"L": {"L", "C0"}, "C0": {"C0"}, "I": {"I", "C+"}, "C+": {"C+"}}
+    thetas = {g: _involute(image_of, [(g, ONE)]) for g in window}
     for g in window:
-        x = alg.gen_element(g)
-        if alg.apply_involution(theta, alg.apply_involution(theta, x)) != x:
+        tx = thetas[g]
+        if _involute(image_of, tx.items()) != {g: ONE}:
             checks["square"] = False
-        if (alg.apply_involution(theta, probe * x)
-                != probe.conj() * alg.apply_involution(theta, x)):
+        if (_involute(image_of, [(g, probe * ONE)])
+                != {h: probe.conj() * c for h, c in tx.items()}):
             checks["conjugateLinear"] = False
-        image = alg.apply_involution(theta, x)
-        kinds = {_span_tag(h) for h in image.terms}
-        allowed = {"L": {"L", "C0"}, "C0": {"C0"}, "I": {"I", "C+"}, "C+": {"C+"}}
-        if not kinds <= allowed[_span_tag(g)]:
+        if not {_span_tag(h) for h in tx} <= allowed[_span_tag(g)]:
             checks["stability"] = False
     for gx in window:
-        x = alg.gen_element(gx)
-        tx = alg.apply_involution(theta, x)
+        tx = thetas[gx]
         for gy in window:
-            y = alg.gen_element(gy)
-            lhs = alg.apply_involution(theta, alg.bracket(x, y))
-            rhs = alg.bracket(alg.apply_involution(theta, y), tx)
-            if lhs != rhs:
+            lhs = _involute(image_of, bracket_gens(gx, gy))  # [x, y] for basis labels
+            if lhs != _bracket_terms(bracket_gens, thetas[gy], tx):
                 checks["antiMultiplicative"] = False
     return checks
 

@@ -12,7 +12,7 @@ Levels are assembled recursively (Shapovalov style).  With y = f y',
 c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d' basis z, for
 each x in the level-d basis: associativity of the definition above, so each
 entry equals its per-entry value exactly.  Every level below d is built once
-and cached on the module, keyed by (theta, level); pairing() keeps the
+and cached on the module, keyed by (theta, level); the tests keep the
 per-entry route as the independent reference.
 
 Definiteness is decided by LDL* with complete symmetric pivoting: the
@@ -63,7 +63,7 @@ from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import entry_size, working_copy
 from .oscillator import shifted_weight, virasoro_weight
 from .scalars import ONE, ZERO, Scalar, scalar, sign_of_real
-from .verma import EMPTY_MONOMIAL, Sector, VermaModule, partition_count
+from .verma import Sector, VermaModule, partition_count
 
 PD = "positive-definite"
 PSD_SINGULAR = "positive-semidefinite-singular"
@@ -110,28 +110,6 @@ class DefinitenessVerdict:
         if self.witness:
             out["witness"] = list(self.witness)
         return out
-
-
-def theta_tilde_apply(module, theta, mono, vec):
-    """Apply theta(f_k)...theta(f_1) for mono = f_1...f_k to a module vector."""
-    out = vec
-    for f in mono.factors():
-        g, c = theta.image_of(f)
-        if out.is_zero():
-            break
-        out = c * module.act(g, out)
-    return out
-
-
-def pairing(module, theta, u, w):
-    """<u, w> for arbitrary module vectors, conjugate-linear in w."""
-    total = ZERO
-    for mono, c in w.terms.items():
-        moved = theta_tilde_apply(module, theta, mono, u)
-        coeff = moved.terms.get(EMPTY_MONOMIAL)
-        if coeff:
-            total = total + c.conj() * coeff
-    return total
 
 
 def gram(module, theta, d):
@@ -348,7 +326,9 @@ def split_inertia(alg, hw, theta, max_level):
     neg = sum F+ V- + F- V+ over Fock level d - n p and Virasoro level n; the
     rest of partition_count(d) is the zero count, the radical of a partial J
     included.  V comes from kac_wall_inertia where it certifies a level, from
-    the LDL of psi's Virasoro-sector Gram matrix otherwise.
+    the LDL of psi's Virasoro-sector Gram matrix otherwise.  Returns the
+    triples and the number of Virasoro levels, 0 included, that the walls
+    certified.
     """
     p = alg.p
     fock = fock_sign_counts(VermaModule(alg, hw, Sector.heisenberg(hw.j_set())), theta,
@@ -356,6 +336,7 @@ def split_inertia(alg, hw, theta, max_level):
     psi = shifted_weight(hw)
     vira = VermaModule(alg, psi, Sector.virasoro())
     vir = kac_wall_inertia(psi, max_level // p)
+    certified = len(vir)
     vir += [definiteness(gram(vira, theta, n * p)).inertia
             for n in range(len(vir), max_level // p + 1)]
     out = []
@@ -366,7 +347,7 @@ def split_inertia(alg, hw, theta, max_level):
             pos += f_pos * v_pos + f_neg * v_neg
             neg += f_pos * v_neg + f_neg * v_pos
         out.append((pos, neg, partition_count(d) - pos - neg))
-    return out
+    return out, certified
 
 
 def split_check_level(p, max_level):
@@ -418,7 +399,7 @@ def reducibility_report(module, max_level, max_ab=None):
     theta = AntiInvolution.plus(p)
     full = module.sector == Sector.full(p)
     if full and hw.is_real():
-        inertia = split_inertia(alg, hw, theta, max_level)
+        inertia = split_inertia(alg, hw, theta, max_level)[0]
     elif hw.is_real():
         inertia = [_brute_inertia(module, theta, d) for d in range(max_level + 1)]
     else:

@@ -34,8 +34,8 @@ class Scalar:
     """Immutable element of the Gaussian rationals Q(i).
 
     ``__init__`` is the only constructor.  It keeps a part that is already a
-    Fraction as it is, and the arithmetic skips the imaginary parts when both
-    operands are real.
+    Fraction as it is, and the arithmetic skips the imaginary part of a real
+    operand.
     """
 
     __slots__ = ("re", "im")
@@ -56,10 +56,6 @@ class Scalar:
     @classmethod
     def one(cls):
         return cls(1, 0)
-
-    @classmethod
-    def i_unit(cls):
-        return cls(0, 1)
 
     @classmethod
     def parse(cls, text):
@@ -139,8 +135,10 @@ class Scalar:
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return Scalar(self.re * o.re)
+        if not o.im:
+            return Scalar(self.re * o.re, self.im * o.re) if self.im else Scalar(self.re * o.re)
+        if not self.im:
+            return Scalar(self.re * o.re, self.re * o.im)
         return Scalar(self.re * o.re - self.im * o.im,
                       self.re * o.im + self.im * o.re)
 
@@ -199,7 +197,9 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        if other is self:
+            return True
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im

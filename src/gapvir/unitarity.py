@@ -34,8 +34,8 @@ from math import floor, isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
-from .forms import (PD, PSD_SINGULAR, definiteness, gram, kac_wall_inertia, split_check_level,
-                    split_inertia, verdict_kind)
+from .forms import (PD, PSD_SINGULAR, definiteness, gram, split_check_level, split_inertia,
+                    verdict_kind)
 from .oscillator import gap_weight_sum, shifted_weight
 from .scalars import Scalar, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
@@ -138,10 +138,10 @@ def unitarity_oracle(alg, hw, beta, max_level):
     beta = check_beta(hw.p, beta)
     theta = AntiInvolution.plus(hw.p, 1, beta)
     if hw.is_real() and all(b.is_real() for b in beta):
-        # Virasoro levels 1..top are certified; a level below p has none to certify
-        top = len(kac_wall_inertia(shifted_weight(hw), max_level // hw.p)) - 1
-        return [_oracle_level(d, inertia, "kac-wall" if 1 <= d // hw.p <= top else "split")
-                for d, inertia in enumerate(split_inertia(alg, hw, theta, max_level))]
+        # Virasoro levels 1..certified-1 are certified; a level below p has none to certify
+        levels, certified = split_inertia(alg, hw, theta, max_level)
+        return [_oracle_level(d, inertia, "kac-wall" if 1 <= d // hw.p < certified else "split")
+                for d, inertia in enumerate(levels)]
     module = VermaModule(alg, hw)
     return [_full_level(module, theta, d) for d in range(max_level + 1)]
 

@@ -143,10 +143,10 @@ def test_reducibility_split_brute_disagreement_exits_one(capsys, monkeypatch):
     split_inertia = forms.split_inertia
 
     def skewed(alg, hw, theta, max_level):
-        out = split_inertia(alg, hw, theta, max_level)
+        out, certified = split_inertia(alg, hw, theta, max_level)
         pos, neg, zero = out[2]
         out[2] = (pos - 1, neg, zero + 1)
-        return out
+        return out, certified
 
     argv = ["reducibility", "--p", "2", "--l0", "0", "--c0", "1", "--c1", "1", "--max-level", "4"]
     code, out = run_cli(capsys, argv)

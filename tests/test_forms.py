@@ -8,11 +8,12 @@ from gapvir.errors import GramIntegrityError, UnsupportedInvolutionError
 from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           GramMatrix, definiteness, gram, kac_factor, kac_scan,
-                          kac_wall_inertia, kac_zeros, pairing, phi_virasoro,
+                          kac_wall_inertia, kac_zeros, phi_virasoro,
                           reducibility_report, split_check_level, virasoro_module)
 from gapvir.oscillator import gap_weight_sum, shifted_weight
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight, Sector, VermaModule
+from reference import pairing
 
 
 def hermitian(entries):

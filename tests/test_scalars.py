@@ -17,7 +17,7 @@ def rand_scalar(rng, nonzero=False):
 
 
 def test_multiplication_by_i():
-    assert scalar("1/2") * Scalar.i_unit() == Scalar(0, Fraction(1, 2))
+    assert scalar("1/2") * Scalar(0, 1) == Scalar(0, Fraction(1, 2))
 
 
 def test_unit_modulus_pythagorean_point():
@@ -186,7 +186,7 @@ def test_kernel_matches_pair_reference():
 def test_constructors_store_fractions():
     for z in (Scalar(3), Scalar(-2, 5), Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2), 7),
               Scalar(), Scalar.parse("3/5+4/5*i"), Scalar.parse("-i"), Scalar.parse("7"),
-              scalar(4), scalar("1/3-2*i"), Scalar.zero(), Scalar.one(), Scalar.i_unit()):
+              scalar(4), scalar("1/3-2*i"), Scalar.zero(), Scalar.one(), Scalar(0, 1)):
         _exact_parts(z)
     assert _exact_parts(Scalar(Fraction(6, 4), Fraction(-2, 8))) == (Fraction(3, 2),
                                                                       Fraction(-1, 4))
@@ -194,7 +194,7 @@ def test_constructors_store_fractions():
 
 def test_equal_values_hash_equal():
     for group in ((Scalar(1), Scalar(Fraction(1), 0), ONE, Scalar.parse("1"), Scalar(2) / 2),
-                  (Scalar(0, 1), Scalar.parse("i"), Scalar.i_unit(), -Scalar(0, -1)),
+                  (Scalar(0, 1), Scalar.parse("i"), Scalar(0, 1), -Scalar(0, -1)),
                   (Scalar(Fraction(1, 2)), Scalar.parse("1/2"), Scalar(1, 1) * Scalar(1, -1) / 4)):
         assert len({hash(z) for z in group}) == 1
         assert all(z == group[0] for z in group)

@@ -8,7 +8,7 @@ from gapvir import forms, unitarity
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.cli import main
 from gapvir.errors import ConfigError
-from gapvir.forms import definiteness, gram, pairing, split_inertia
+from gapvir.forms import definiteness, gram, split_inertia
 from gapvir.oscillator import gap_weight_sum, shifted_weight, sugawara_sum
 from gapvir.scalars import Scalar, scalar
 from gapvir.unitarity import (classify, discrete_series, discrete_series_match,
@@ -16,6 +16,7 @@ from gapvir.unitarity import (classify, discrete_series, discrete_series_match,
                               full_gram_cross_check, lowest_weight_dualize,
                               oracle_is_psd, unitarity_oracle, unitarity_verdict)
 from gapvir.verma import HighestWeight, Sector, VermaModule
+from reference import pairing
 
 
 def hw2(l0, c0, c1="1"):
@@ -198,7 +199,7 @@ def test_split_route_matches_full_gram(p, l0, central, beta):
     max_level = 12 if p == 2 else 10
     module = VermaModule(alg, hw)
     full = [definiteness(gram(module, theta, d)).inertia for d in range(max_level + 1)]
-    assert split_inertia(alg, hw, theta, max_level) == full
+    assert split_inertia(alg, hw, theta, max_level)[0] == full
 
 
 def test_split_route_falls_back_for_complex_data():
@@ -237,10 +238,10 @@ def test_cross_check_covers_levels_no_larger_than_the_split(p, max_level, cap):
 
 def test_split_full_disagreement_exits_one(monkeypatch, capsys):
     def skewed(alg, hw, theta, max_level):
-        out = split_inertia(alg, hw, theta, max_level)
+        out, certified = split_inertia(alg, hw, theta, max_level)
         pos, neg, zero = out[2]
         out[2] = (pos, neg + 1, zero - 1)
-        return out
+        return out, certified
 
     monkeypatch.setattr(unitarity, "split_inertia", skewed)
     argv = ["unitary-check", "--p", "2", "--l0", "1/16", "--c0", "3/2", "--c1", "1",
@@ -266,6 +267,29 @@ def test_kac_wall_routes_name_the_certified_levels():
         "split"] * 5
     for res in (continuum, ising, partial):
         assert res["crossCheck"]["agreement"] and res["agreement"]
+
+
+def test_oracle_scans_the_kac_walls_once(monkeypatch):
+    # split_inertia hands its certified prefix to the oracle, which names the
+    # routes from it instead of scanning the walls again
+    scans = []
+    certified = forms.kac_wall_inertia
+
+    def counted(psi, max_n):
+        scans.append(max_n)
+        return certified(psi, max_n)
+
+    monkeypatch.setattr(forms, "kac_wall_inertia", counted)
+    alg = GapVirasoro(2)
+    for l0, c0, routes in (("1/3", "5/2", ["split"] * 2 + ["kac-wall"] * 7),
+                           ("1/16", "3/2", ["split"] * 9)):
+        scans.clear()
+        oracle = unitarity_oracle(alg, hw2(l0, c0), ["1"], 8)
+        assert scans == [4]
+        assert [e["route"] for e in oracle] == routes
+    scans.clear()
+    unitarity_oracle(GapVirasoro(3), HighestWeight.make(3, "1", ["5", "1"]), ["1", "1"], 9)
+    assert scans == [3]
 
 
 def test_wrong_kac_wall_certificate_exits_one(monkeypatch, capsys):
