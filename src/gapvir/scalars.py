@@ -34,8 +34,8 @@ class Scalar:
     """Immutable element of the Gaussian rationals Q(i).
 
     ``__init__`` is the only constructor.  It keeps a part that is already a
-    Fraction as it is, and the arithmetic skips the imaginary part of a real
-    operand.
+    Fraction as it is, and the arithmetic skips the imaginary parts when both
+    operands are real.
     """
 
     __slots__ = ("re", "im")
@@ -135,10 +135,8 @@ class Scalar:
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            return Scalar(self.re * o.re, self.im * o.re) if self.im else Scalar(self.re * o.re)
-        if not self.im:
-            return Scalar(self.re * o.re, self.re * o.im)
+        if not self.im and not o.im:
+            return Scalar(self.re * o.re)
         return Scalar(self.re * o.re - self.im * o.im,
                       self.re * o.im + self.im * o.re)
 
@@ -197,9 +195,7 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if other is self:
-            return True
-        o = other if type(other) is Scalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im

@@ -15,7 +15,6 @@ for any other convention.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
@@ -126,26 +125,16 @@ class SeriesModule:
         first failure is the witness.  The action is monomial, so each image
         g v is tabulated once per check, and x y v, y x v and [x, y] v are
         products of table entries; a column outside col(F) is never tabulated
-        and raises each time.  On a real module the entries are d times the
-        coefficients, d the lcm of p and the denominators of a, b and F, so
-        both sides are compared as integers times d^2.
+        and raises each time.
         """
         alg = self.alg
         gens = alg.basis_window(-window, window)
-        values = [self.a, self.b, *(e for row in self.f.rows for e in row)]
-        d = (None if any(v.im for v in values)
-             else lcm(alg.p, *(v.re.denominator for v in values)))
-
-        def scaled(c):
-            """d c, an int where it is integral, or c itself on a complex module."""
-            q = c if d is None else c.re * d
-            return q.numerator if d and q.denominator == 1 else q
 
         @cache
         def image(g, v):
             """g v as a (coefficient, target) pair, or None when it is zero."""
             coeff, target = self.act_basis(g, *v)
-            return (scaled(coeff), target) if target is not None and coeff else None
+            return (coeff, target) if target is not None and coeff else None
 
         def twice(g1, g2, v):
             """g2 g1 v, as image gives it."""
@@ -155,7 +144,7 @@ class SeriesModule:
 
         for gx in gens:
             for gy in gens:
-                bracket = [(h, scaled(ch)) for h, ch in alg.bracket_gens(gx, gy)]
+                bracket = alg.bracket_gens(gx, gy)
                 for j in self.columns:
                     for k in range(-window, window + 1):
                         v = (k, j)
