@@ -13,6 +13,7 @@ normalized away at construction: stored indices always satisfy j <= floor(p/2).
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -25,13 +26,10 @@ KIND_I = "I"
 KIND_C = "C"
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(namedtuple("Gen", "kind n i", defaults=(0, 0))):
     """A basis label: L[n], I[n,i] or C[j] (C-index already alias-normalized)."""
 
-    kind: str
-    n: int = 0
-    i: int = 0
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == KIND_L:

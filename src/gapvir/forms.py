@@ -15,6 +15,12 @@ entry equals its per-entry value exactly.  Every level below d is built once
 and cached on the module, keyed by (theta, level); the tests keep the
 per-entry route as the independent reference.
 
+The recursion runs on verma's rescaled monomials x' = K^|x| x, so the cached
+rows are G' = D G D, D = diag(K^|x|): ints for a real weight and theta
+coefficients +-1 (alpha = 1, beta = +-1).  A positive diagonal congruence
+keeps hermiticity, inertia and kernel dimension (Sylvester's law); gram
+still returns G.
+
 Definiteness is decided by LDL* with complete symmetric pivoting: the
 nonzero diagonal entry of fewest bits (linalg.entry_size) goes first, the
 lowest index on a tie.  When every remaining diagonal entry vanishes but an
@@ -62,7 +68,7 @@ from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import entry_size, working_copy
 from .oscillator import shifted_weight, virasoro_weight
-from .scalars import ONE, ZERO, Scalar, scalar, sign_of_real
+from .scalars import ZERO, Scalar, scalar, sign_of_real
 from .verma import Sector, VermaModule, partition_count
 
 PD = "positive-definite"
@@ -121,26 +127,32 @@ def gram(module, theta, d):
     for level in range(d + 1):
         if (theta, level) not in cache:
             cache[theta, level] = _gram_level(module, theta, level)
-    return GramMatrix(d, module.pbw_basis(d), [list(row) for row in cache[theta, d]], theta)
+    basis = module.pbw_basis(d)
+    lengths = [m.length() for m in basis]
+    return GramMatrix(d, basis, [[scalar(module.unscaled(e, -la - lb)) if e else ZERO
+                                  for lb, e in zip(lengths, row)]
+                                 for la, row in zip(lengths, cache[theta, d])], theta)
 
 
 def _gram_level(module, theta, d):
-    """Rows of the level-d Gram matrix by the recursion in the module docstring.
+    """Rows of the rescaled level-d Gram matrix G' by the recursion in the module docstring.
 
     Needs every lower level of (module, theta) in the cache.  Columns that
     share a leading factor share one act_gen call per row.
     """
     if not d:
-        return [[ONE]]
+        return [[1]]
     basis = module.pbw_basis(d)
     n = len(basis)
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     by_lead = {}
     for b, y in enumerate(basis):
         by_lead.setdefault(y.leading(), []).append((b, y.tail()))
     p = module.alg.p
     for f, cols in by_lead.items():
         g, c = theta.image_of(f)
+        if not c.im:  # an int c keeps int rows int
+            c = c.re.numerator if c.re.denominator == 1 else c.re
         lower_level = cols[0][1].plevel(p)
         lower = module._gram_cache[theta, lower_level]
         index = {m: k for k, m in enumerate(module.pbw_basis(lower_level))}
@@ -149,7 +161,7 @@ def _gram_level(module, theta, d):
             image = [(lower[index[z]], cz) for z, cz in module.act_gen(g, x).items()]
             row = rows[a]
             for b, j in cols:
-                s = ZERO
+                s = 0
                 for lower_row, cz in image:
                     e = lower_row[j]
                     if e:
@@ -299,18 +311,21 @@ def kac_wall_inertia(psi, max_n):
     #odd-length, 0) partitions.  Both sets of certified levels are prefixes,
     so the triples of levels 0..N are returned; level N + 1 needs the LDL.
     """
-    h, c = psi.l0, psi.c_value(0)
+    h, t = psi.l0.re, (psi.c_value(0).re - 13) / 24  # Fractions: kac_factor's terms inline
     up = down = max_n + 1  # first level with a wall at or above h', at or below h'
     for a in range(1, max_n + 1):
         for b in range(a, max_n // a + 1):  # phi is symmetric in (a, b)
             level = a * b
-            if phi_virasoro(h, c, a, b).re <= 0:
+            shift = Fraction(level - 1, 2)
+            sum_ab = (a * a + b * b - 2) * t + 2 * shift  # A + B, -2 * vertex
+            phi0 = ((a * a - 1) * t + shift) * ((b * b - 1) * t + shift) + Fraction(
+                (a * a - b * b) ** 2, 16)  # phi_virasoro(0, c, a, b)
+            if h * (h + sum_ab) + phi0 <= 0:  # phi_virasoro(h, c, a, b)
                 up, down = min(up, level), min(down, level)
                 continue
-            sum_ab = kac_factor(0, c, a, b) + kac_factor(0, c, b, a)  # A + B, -2 * vertex
-            if (sum_ab * sum_ab - 4 * phi_virasoro(0, c, a, b)).re < 0:
+            if sum_ab * sum_ab < 4 * phi0:
                 continue
-            if -sum_ab.re < 2 * h.re:
+            if -sum_ab < 2 * h:
                 down = min(down, level)
             else:
                 up = min(up, level)

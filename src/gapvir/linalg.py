@@ -1,10 +1,10 @@
 """Small exact linear-algebra routines over the Gaussian rationals.
 
-Entry rule: a matrix whose entries are all real is eliminated on bare
-Fractions, any other matrix on Scalars.  working_copy() applies the rule for
-every exact elimination (rank, nullspace, forms.definiteness), so only this
-module inspects entry types.  Meant for the desk-scale matrices this package
-produces (dimensions in the tens to low hundreds).
+Entry rule: a matrix whose entries are all real (ints, Fractions or real
+Scalars) is eliminated on bare Fractions, any other matrix on Scalars.
+working_copy() applies the rule for every exact elimination (rank,
+nullspace, forms.definiteness), so only this module inspects entry types.
+Meant for desk-scale matrices (dimensions in the tens to low hundreds).
 
 Eliminations pivot by size: among the entries eligible as a pivot they take
 the one of fewest bits (entry_size), which keeps the growth of exact
@@ -42,9 +42,10 @@ def entry_size(v):
 
 def working_copy(rows):
     """Mutable copy of rows by the entry rule, with the matching conj and real-part maps."""
-    if all(v.is_real() for row in rows for v in row):
-        return [[v.re for v in row] for row in rows], _identity, _identity
-    return [list(row) for row in rows], Scalar.conj, _real_part
+    if all(type(v) is not Scalar or not v.im for row in rows for v in row):
+        return ([[v.re if type(v) is Scalar else Fraction(v) if type(v) is int else v
+                  for v in row] for row in rows], _identity, _identity)
+    return [[scalar(v) for v in row] for row in rows], Scalar.conj, _real_part
 
 
 def row_reduce(rows, ncols):

@@ -162,6 +162,8 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        if not self.im and (n >= 0 or self.re):  # one Fraction power; 0^-n goes to inv()
+            return Scalar(self.re ** n)
         base = self if n >= 0 else self.inv()
         out = Scalar.one()
         for _ in range(abs(n)):

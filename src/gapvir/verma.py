@@ -18,10 +18,21 @@ Straightening is rightmost-first: a generator applied to a canonical monomial
 is either prepended (when the canonical order allows) or commuted past the
 leading factor, trading the pair for a bracket term at lower p-level.  Results
 are memoized per module, keyed by (generator, monomial).
+
+The memo works in a rescaled basis: with K (VermaModule.scale) the lcm of 2p
+and every denominator in phi(L_0) and the phi(C_j), a generator X stands for
+X' = K X and a monomial x for x' = K^|x| x, |x| its factor count.  A prepend
+has coefficient 1, C_j' and L_0' act by K phi(C_j) and K (phi(L_0) + d/p),
+and a bracket term carries K s, an int: every structure constant s has a
+denominator dividing 2p.  So act_gen(g, x)[z], K^(1 + |x| - |z|) times the
+coefficient of z in g x, is an int for a real weight; act and
+singular_vectors divide the scale back out.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
 from .errors import ConfigError, ScalarParseError
@@ -29,16 +40,17 @@ from .linalg import nullspace
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(namedtuple("PBWMonomial", "lparts iparts", defaults=((), ()))):
     """Ordered product of lowering generators applied to the highest weight vector.
 
     lparts: depths n of the L_{-n} factors, descending.
     iparts: pairs (m, i) of the I_{-m}^i factors, descending lexicographically.
     """
 
-    lparts: tuple = ()
-    iparts: tuple = ()
+    __slots__ = ()
+
+    def length(self):
+        return len(self.lparts) + len(self.iparts)
 
     def plevel(self, p):
         return sum(n * p for n in self.lparts) + sum(m * p - i for m, i in self.iparts)
@@ -193,7 +205,7 @@ class ModuleVector(Combination):
         return max((m.plevel(p) for m in self.terms), default=0)
 
     def _ordered_keys(self):
-        return sorted(self.terms, key=lambda t: (t.lparts, t.iparts), reverse=True)
+        return sorted(self.terms, reverse=True)
 
 
 class VermaModule:
@@ -206,6 +218,8 @@ class VermaModule:
         self.alg = alg
         self.hw = hw
         self.sector = sector if sector is not None else Sector.full(alg.p)
+        self.scale = lcm(2 * alg.p, *(q.denominator for v in (hw.l0,) + hw.c for q in (v.re, v.im)))
+        self._k_l0, *self._k_c = (self._scaled(v) for v in (hw.l0,) + hw.c)
         self._act_cache = {}
         self._gram_cache = {}  # Gram rows by (theta, level), filled by forms.gram
         self._basis_cache = {}
@@ -248,7 +262,7 @@ class VermaModule:
                     build(remaining - s, s, chosen + (s,))
 
         build(d, d if d else 1, ())
-        out.sort(key=lambda m: (m.lparts, m.iparts), reverse=True)
+        out.sort(reverse=True)
         self._basis_cache[d] = out
         return out
 
@@ -276,16 +290,27 @@ class VermaModule:
 
     # -- action ----------------------------------------------------------
 
+    def _scaled(self, v):
+        """K v for a weight value or structure constant v: an int when v is real."""
+        return v * self.scale if v.im else v.re.numerator * (self.scale // v.re.denominator)
+
+    def unscaled(self, c, e):
+        """c K^e: with e = |z| - |x| - 1, act_gen(g, x)[z] back in the unscaled basis."""
+        k = self.scale ** abs(e)
+        if e >= 0:
+            return c * k
+        return Fraction(c, k) if type(c) is int else c * Fraction(1, k)
+
     def act(self, g, vec):
         """Action of a basis generator on a module vector."""
         out = {}
         for mono, c in vec.terms.items():
             for m2, c2 in self.act_gen(g, mono).items():
-                add_term(out, m2, c * c2)
+                add_term(out, m2, c * self.unscaled(c2, m2.length() - mono.length() - 1))
         return ModuleVector(self, out)
 
     def act_gen(self, g, mono):
-        """Straightened action of one generator on one monomial, memoized."""
+        """Straightened action of g' on the monomial mono', memoized (module docstring)."""
         key = (g, mono)
         hit = self._act_cache.get(key)
         if hit is not None:
@@ -298,13 +323,13 @@ class VermaModule:
         alg = self.alg
         p = alg.p
         if g.kind == KIND_C:
-            c = self.hw.c_value(g.n)
+            c = self._k_c[g.n]
             return {mono: c} if c else {}
         if g.kind == KIND_L:
             if not self.sector.include_l:
                 raise ConfigError("L-generators do not act on this sector")
             if g.n == 0:
-                c = self.hw.l0 + Scalar(Fraction(mono.plevel(p), p))
+                c = self._k_l0 + self.scale // p * mono.plevel(p)
                 return {mono: c} if c else {}
             lowering = g.n < 0
         else:
@@ -312,13 +337,10 @@ class VermaModule:
                 return {}
             lowering = g.n < 0
         lead = mono.leading()
-        if lead is None:
-            # acting on the highest weight vector
-            if lowering:
-                return {self._prepended(g, mono): ONE}
+        if lowering and (lead is None or _rank(g) >= _rank(lead)):
+            return {self._prepended(g, mono): 1}
+        if lead is None:  # a raising generator kills the highest weight vector
             return {}
-        if lowering and _rank(g) >= _rank(lead):
-            return {self._prepended(g, mono): ONE}
         # commute g past the leading factor: g f = f g + [g, f]
         tail = mono.tail()
         out = {}
@@ -326,6 +348,7 @@ class VermaModule:
             for m3, c3 in self.act_gen(lead, m2).items():
                 add_term(out, m3, c2 * c3)
         for h, ch in alg.bracket_gens(g, lead):
+            ch = self._scaled(ch)
             for m2, c2 in self.act_gen(h, tail).items():
                 add_term(out, m2, ch * c2)
         return out
@@ -367,7 +390,7 @@ class VermaModule:
             block = [[ZERO] * len(basis) for _ in index]
             for b, mono in enumerate(basis):
                 for m2, c2 in self.act_gen(g, mono).items():
-                    block[index[m2]][b] = c2
+                    block[index[m2]][b] = self.unscaled(c2, m2.length() - mono.length() - 1)
             rows += block
         sols = nullspace(rows, len(basis))
         return [ModuleVector(self, {m: c for m, c in zip(basis, sol) if c})

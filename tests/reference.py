@@ -4,18 +4,129 @@ The window checks here recompute every action, image and bracket for every
 pair, as the library's checks once did, so a table that drops, reuses or
 caches the wrong entry shows up as a difference.  The intermediate-series
 action is rebuilt from the module's a, b and F rather than taken from its
-``act_basis``, unless ``module_action`` is passed in.  ``pairing`` is the
-per-entry contravariant form that the recursive Gram assembly must match;
-``apply_involution`` and ``chevalley`` extend an anti-involution and the
-Chevalley automorphism to elements of the algebra.
+``act_basis``, unless ``module_action`` is passed in.  ``act_gen``
+straightens on Scalars in the unscaled PBW basis, with a memo of its own,
+and ``act`` and ``singular_vectors`` are built on it; ``pairing`` is the
+per-entry contravariant form, on that action, that the recursive Gram
+assembly must match.  ``kac_wall_inertia`` classifies the Kac walls on
+Scalars through kac_factor and phi_virasoro.  ``apply_involution`` and
+``chevalley`` extend an anti-involution and the Chevalley automorphism to
+elements of the algebra.
 """
 
+import weakref
 from fractions import Fraction
 
 from gapvir.algebra import KIND_C, KIND_L, AntiInvolution, Element, add_term
 from gapvir.errors import ConfigError
-from gapvir.scalars import ZERO, Scalar
-from gapvir.verma import EMPTY_MONOMIAL
+from gapvir.forms import _signed_partition_counts, kac_factor, phi_virasoro
+from gapvir.linalg import nullspace
+from gapvir.scalars import ONE, ZERO, Scalar
+from gapvir.verma import EMPTY_MONOMIAL, ModuleVector, PBWMonomial, partition_count
+
+_memos = weakref.WeakKeyDictionary()  # module -> {(g, mono): {mono: Scalar}}
+
+
+def _rank(g):
+    if g.kind == KIND_L:
+        return (1, -g.n, 0)
+    return (0, -g.n, g.i)
+
+
+def _prepended(g, mono):
+    if g.kind == KIND_L:
+        return PBWMonomial((-g.n,) + mono.lparts, mono.iparts)
+    return PBWMonomial(mono.lparts, ((-g.n, g.i),) + mono.iparts)
+
+
+def act_gen(module, g, mono):
+    """g mono in the unscaled PBW basis, as {monomial: Scalar}, straightened rightmost-first."""
+    memo = _memos.setdefault(module, {})
+    key = (g, mono)
+    if key not in memo:
+        memo[key] = _act_gen_raw(module, g, mono)
+    return memo[key]
+
+
+def _act_gen_raw(module, g, mono):
+    alg = module.alg
+    p = alg.p
+    if g.kind == KIND_C:
+        c = module.hw.c_value(g.n)
+        return {mono: c} if c else {}
+    if g.kind == KIND_L:
+        if not module.sector.include_l:
+            raise ConfigError("L-generators do not act on this sector")
+        if g.n == 0:
+            c = module.hw.l0 + Scalar(Fraction(mono.plevel(p), p))
+            return {mono: c} if c else {}
+    elif g.i not in module.sector.i_indices:
+        return {}
+    lowering = g.n < 0
+    lead = mono.leading()
+    if lead is None:
+        return {_prepended(g, mono): ONE} if lowering else {}
+    if lowering and _rank(g) >= _rank(lead):
+        return {_prepended(g, mono): ONE}
+    tail = mono.tail()
+    out = {}
+    for m2, c2 in act_gen(module, g, tail).items():
+        for m3, c3 in act_gen(module, lead, m2).items():
+            add_term(out, m3, c2 * c3)
+    for h, ch in alg.bracket_gens(g, lead):
+        for m2, c2 in act_gen(module, h, tail).items():
+            add_term(out, m2, ch * c2)
+    return out
+
+
+def act(module, g, vec):
+    """g vec by the reference straightening, as a ModuleVector."""
+    out = {}
+    for mono, c in vec.terms.items():
+        for m2, c2 in act_gen(module, g, mono).items():
+            add_term(out, m2, c * c2)
+    return ModuleVector(module, out)
+
+
+def singular_vectors(module, d):
+    """VermaModule.singular_vectors with the raising blocks from the reference straightening."""
+    basis = module.pbw_basis(d)
+    p = module.alg.p
+    rows = []
+    for g in module.raising_set(d):
+        target = d + int(module.alg.weight_of(g) * p)
+        if target < 0:
+            continue
+        index = {m: k for k, m in enumerate(module.pbw_basis(target))}
+        block = [[ZERO] * len(basis) for _ in index]
+        for b, mono in enumerate(basis):
+            for m2, c2 in act_gen(module, g, mono).items():
+                block[index[m2]][b] = c2
+        rows += block
+    return [ModuleVector(module, {m: c for m, c in zip(basis, sol) if c})
+            for sol in nullspace(rows, len(basis))] if basis else []
+
+
+def kac_wall_inertia(psi, max_n):
+    """forms.kac_wall_inertia with every wall classified on Scalars by kac_factor and phi_virasoro."""
+    h, c = psi.l0, psi.c_value(0)
+    up = down = max_n + 1
+    for a in range(1, max_n + 1):
+        for b in range(a, max_n // a + 1):
+            level = a * b
+            if phi_virasoro(h, c, a, b).re <= 0:
+                up, down = min(up, level), min(down, level)
+                continue
+            sum_ab = kac_factor(0, c, a, b) + kac_factor(0, c, b, a)
+            if (sum_ab * sum_ab - 4 * phi_virasoro(0, c, a, b)).re < 0:
+                continue
+            if -sum_ab.re < 2 * h.re:
+                down = min(down, level)
+            else:
+                up = min(up, level)
+    parity = _signed_partition_counts([(s, True) for s in range(1, max_n + 1)], max_n)
+    return [(partition_count(n), 0, 0) if n < up else (even, odd, 0)
+            for n, (even, odd) in enumerate(parity[:max(up, down)])]
 
 
 def act_basis(module, g, k, j):
@@ -168,7 +279,7 @@ def theta_tilde_apply(module, theta, mono, vec):
         g, c = theta.image_of(f)
         if out.is_zero():
             break
-        out = c * module.act(g, out)
+        out = c * act(module, g, out)
     return out
 
 

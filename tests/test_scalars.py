@@ -32,6 +32,24 @@ def test_inverse_of_zero_errors():
         Scalar.one() / Scalar.zero()
 
 
+def test_powers_match_repeated_products():
+    rng = random.Random(17)
+    for case in range(40):
+        base = rand_scalar(rng, nonzero=True)
+        if case % 2 and base.re:
+            base = Scalar(base.re)  # real bases take the one-Fraction-power route
+        for n in range(-4, 5):
+            expected = Scalar.one()
+            for _ in range(abs(n)):
+                expected = expected * (base if n > 0 else base.inv())
+            result = base ** n
+            assert type(result) is Scalar and result == expected, (base, n)
+    assert Scalar.zero() ** 0 == ONE and Scalar.zero() ** 3 == Scalar.zero()
+    for zero in (Scalar.zero(), Scalar(0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            zero ** -2
+
+
 def test_sign_of_real():
     assert sign_of_real(scalar("-7/3")) == -1
     assert sign_of_real(Scalar.zero()) == 0
