@@ -12,25 +12,32 @@ Levels are assembled recursively (Shapovalov style).  With y = f y',
 c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d' basis z, for
 each x in the level-d basis: associativity of the definition above, so each
 entry equals its per-entry value exactly.  Every level below d is built once
-and cached on the module, keyed by (theta, level); the tests keep the
+and cached on the module, by theta and then level; the tests keep the
 per-entry route as the independent reference.
 
 The recursion runs on verma's rescaled monomials x' = K^|x| x, so the cached
 rows are G' = D G D, D = diag(K^|x|): ints for a real weight and theta
 coefficients +-1 (alpha = 1, beta = +-1).  A positive diagonal congruence
 keeps hermiticity, inertia and kernel dimension (Sylvester's law); gram
-still returns G.
+returns both, and converts G' to G only when a report reads its entries.
 
 Definiteness is decided by LDL* with complete symmetric pivoting: the
 nonzero diagonal entry of fewest bits (linalg.entry_size) goes first, the
 lowest index on a tie.  When every remaining diagonal entry vanishes but an
-off-diagonal one does not, the corresponding 2x2 principal block [[0,g],[g*,0]]
-contributes one positive and one negative inertia count; leading principal
-minors alone would misclassify such matrices.  Sylvester's law then turns the
-exact pivot signs into an exact inertia triple, hence an exact verdict.
-One elimination loop serves both entry types; linalg.working_copy applies the
-package's entry rule (bare Fractions for a real matrix, Scalars otherwise),
-and only the upper triangle is updated (the lower one is its conjugate mirror).
+off-diagonal one does not, the first such pair (i, j), i < j, gives a 2x2
+principal block [[0,g],[g*,0]] that contributes one positive and one
+negative inertia count; leading principal minors alone would misclassify
+such matrices.  Sylvester's law then turns the exact pivot signs into an
+exact inertia triple, hence an exact verdict.  The elimination runs on G'
+itself, its rows cleared of denominators (to Gaussian integers if complex),
+fraction-free: a pivot d sets row r to |d| row_r - sgn(d) a_rb row_b, a 2x2
+block to a_ij a_ji row_r - a_ri a_ij row_j - a_rj a_ji row_i, and the row is
+divided by the positive gcd of its integer parts.  Each step scales a row of
+the Schur complement by a positive number, so no later pivot changes sign.
+Rows scaled apart are not symmetric, so full rows are kept.  The pivot rule
+reads a[k][k] / s_k, the diagonal of G's own Schur complement: s_k is
+K^(2|x_k|) times the row's clearing denominator and later multipliers over
+its gcds.  So pivots, witness and inertia are those of the LDL* on G.
 verdict_kind is the one rule from an inertia triple to a verdict.
 
 split_inertia reaches the same triples without the full Gram matrix.  For a
@@ -63,10 +70,11 @@ by kac_scan and at psi, the gap-p criterion by the split, by phiCriterion.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
-from .linalg import entry_size, working_copy
 from .oscillator import shifted_weight, virasoro_weight
 from .scalars import ZERO, Scalar, scalar, sign_of_real
 from .verma import Sector, VermaModule, partition_count
@@ -79,21 +87,32 @@ NEGATIVE = "negative-containing"
 
 @dataclass
 class GramMatrix:
+    """Gram matrix G of basis for theta's form: rows are gram's G' = D G D, or G itself
+    when built directly (module None); entries converts rows to G on first read."""
+
     level: int
     basis: list
-    entries: list
+    rows: list
     theta: object
+    module: object = None
+
+    @cached_property
+    def entries(self):
+        if self.module is None:
+            return self.rows
+        lengths = [m.length() for m in self.basis]
+        unscaled = self.module.unscaled
+        return [[scalar(unscaled(e, -la - lb)) if e else ZERO for lb, e in zip(lengths, row)]
+                for la, row in zip(lengths, self.rows)]
 
     def dim(self):
         return len(self.basis)
 
     def is_hermitian(self):
-        n = self.dim()
-        for a in range(n):
-            for b in range(a, n):
-                if self.entries[b][a] != self.entries[a][b].conj():
-                    return False
-        return True
+        """Whether G is Hermitian, checked on rows: D is a positive diagonal."""
+        rows = self.rows
+        return all([r[a] for r in rows] == [v.conj() if type(v) is Scalar else v for v in row]
+                   for a, row in enumerate(rows))
 
     def to_strings(self):
         return [[str(v) for v in row] for row in self.entries]
@@ -123,23 +142,19 @@ def gram(module, theta, d):
     if theta.kind != "plus":
         raise UnsupportedInvolutionError(
             "contravariant Gram forms need a plus-type involution")
-    cache = module._gram_cache
-    for level in range(d + 1):
-        if (theta, level) not in cache:
-            cache[theta, level] = _gram_level(module, theta, level)
-    basis = module.pbw_basis(d)
-    lengths = [m.length() for m in basis]
-    return GramMatrix(d, basis, [[scalar(module.unscaled(e, -la - lb)) if e else ZERO
-                                  for lb, e in zip(lengths, row)]
-                                 for la, row in zip(lengths, cache[theta, d])], theta)
+    levels = module._gram_cache.setdefault(theta, [])
+    while len(levels) <= d:
+        levels.append(_gram_level(module, theta, levels))
+    return GramMatrix(d, module.pbw_basis(d), levels[d], theta, module)
 
 
-def _gram_level(module, theta, d):
-    """Rows of the rescaled level-d Gram matrix G' by the recursion in the module docstring.
+def _gram_level(module, theta, levels):
+    """Rows of the rescaled Gram matrix G' at level d = len(levels), by the module docstring.
 
-    Needs every lower level of (module, theta) in the cache.  Columns that
-    share a leading factor share one act_gen call per row.
+    levels holds the rows of levels 0..d-1.  Columns that share a leading
+    factor share one act_gen call per row.
     """
+    d = len(levels)
     if not d:
         return [[1]]
     basis = module.pbw_basis(d)
@@ -154,7 +169,7 @@ def _gram_level(module, theta, d):
         if not c.im:  # an int c keeps int rows int
             c = c.re.numerator if c.re.denominator == 1 else c.re
         lower_level = cols[0][1].plevel(p)
-        lower = module._gram_cache[theta, lower_level]
+        lower = levels[lower_level]
         index = {m: k for k, m in enumerate(module.pbw_basis(lower_level))}
         cols = [(b, index[tail]) for b, tail in cols]
         for a, x in enumerate(basis):
@@ -172,81 +187,97 @@ def _gram_level(module, theta, d):
 
 
 def definiteness(g):
-    """Exact definiteness verdict for a Hermitian Gram matrix."""
+    """Exact definiteness verdict for a Hermitian Gram matrix, by the module docstring's LDL*."""
     if not g.is_hermitian():
         raise GramIntegrityError("gram matrix is not Hermitian")
-    n = g.dim()
-    a, conj, real = working_copy(g.entries)
-    # Only a[r][c] with r <= c is kept up to date; below the diagonal the
-    # entry is the conjugate of its mirror.  active stays in ascending order.
-    active = list(range(n))
+    gaussian = any(type(v) is Scalar and v.im for row in g.rows for v in row)
+    # a[r] is a positive multiple of row r of the Schur complement of rows;
+    # a[r][r] is s[r] times G's own Schur diagonal; idx[r] is position r's basis index
+    a, s = [], []
+    for x, row in zip(g.basis, g.rows):
+        den = 1
+        if any(type(v) is not int for v in row):
+            den = lcm(*(q.denominator for v in row
+                        for q in ((v.re, v.im) if type(v) is Scalar else (v,))))
+            row = ([scalar(v) * den for v in row] if gaussian else
+                   [((v.re if type(v) is Scalar else v) * den).numerator for v in row])
+        a.append(list(row))
+        s.append(Fraction(den if g.module is None else den * g.module.scale ** (2 * x.length())))
+    idx = list(range(len(a)))
+    sizes = [_pivot_size(row[r], s[r]) for r, row in enumerate(a)]
 
-    def column(k):
-        return {r: a[r][k] if r <= k else conj(a[k][r]) for r in active}
+    def renew(r, row, mult):
+        row, c = _primitive(row, gaussian)
+        a[r] = row
+        if c:
+            s[r] = Fraction(s[r].numerator * mult, s[r].denominator * c)
+        sizes[r] = _pivot_size(row[r], s[r])
 
     n_pos = n_neg = n_zero = 0
-    pivot_trail = []
-    witness = ()
-    while active:
-        nonzero = [k for k in active if a[k][k]]
-        if nonzero:
-            best = min(nonzero, key=lambda k: entry_size(a[k][k]))
-            d = real(a[best][best])
-            pivot_trail.append(best)
-            if d > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            active.remove(best)
-            dinv = 1 / d
-            col = column(best)
-            colc = {r: conj(v) for r, v in col.items()}
-            for k, r in enumerate(active):
-                cr = col[r]
-                if not cr:
-                    continue
-                f = cr * dinv
-                row = a[r]
-                for c in active[k:]:
-                    if colc[c]:
-                        row[c] = row[c] - f * colc[c]
+    trail, witness = [], ()
+    while a:
+        live = [r for r, size in enumerate(sizes) if size is not None]
+        if live:
+            b = min(live, key=sizes.__getitem__)
+            pivot = a.pop(b)
+            trail.append(idx.pop(b))
+            del s[b], sizes[b]
+            d = _integer(pivot.pop(b))
+            n_pos, n_neg = (n_pos + 1, n_neg) if d > 0 else (n_pos, n_neg + 1)
+            m = abs(d)
+            for r, row in enumerate(a):
+                f = row.pop(b)
+                if f:
+                    f = f if d > 0 else -f
+                    renew(r, [m * x - f * y for x, y in zip(row, pivot)], m)
             if not witness and n_pos and n_neg:
-                witness = tuple(pivot_trail)
+                witness = tuple(trail)
             continue
         # all remaining diagonals vanish
-        pair = None
-        for ii in active:
-            for jj in active:
-                if ii < jj and a[ii][jj]:
-                    pair = (ii, jj)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i, r in enumerate(a) for j in range(i + 1, len(a)) if r[j]), None)
         if pair is None:
-            n_zero += len(active)
+            n_zero += len(a)
             break
-        ii, jj = pair
-        gg = a[ii][jj]
-        n_pos += 1
-        n_neg += 1
+        i, j = pair
+        n_pos, n_neg = n_pos + 1, n_neg + 1
         if not witness:
-            witness = (ii, jj)
-        active.remove(ii)
-        active.remove(jj)
-        gi = 1 / gg
-        gci = 1 / conj(gg)
-        coli = column(ii)
-        colj = column(jj)
-        for k, r in enumerate(active):
-            row = a[r]
-            for c in active[k:]:
-                corr = (colj[r] * gi * conj(coli[c])
-                        + coli[r] * gci * conj(colj[c]))
-                if corr:
-                    row[c] = row[c] - corr
+            witness = (idx[i], idx[j])
+        row_j, row_i = a.pop(j), a.pop(i)
+        del idx[j], idx[i], s[j], s[i], sizes[j], sizes[i]
+        g_ij, g_ji = row_i[j], row_j[i]
+        prod = _integer(g_ij * g_ji)
+        del row_i[j], row_i[i], row_j[j], row_j[i]
+        for r, row in enumerate(a):
+            f_j, f_i = row.pop(j), row.pop(i)
+            if f_i or f_j:
+                u, w = f_i * g_ij, f_j * g_ji
+                renew(r, [prod * x - u * y - w * z for x, y, z in zip(row, row_j, row_i)], prod)
     inertia = (n_pos, n_neg, n_zero)
     kind = verdict_kind(inertia)
     return DefinitenessVerdict(kind, witness if kind == INDEFINITE else (), inertia)
+
+
+def _pivot_size(v, s):
+    """Bits of the diagonal entry v / s that the pivot rule compares; None if v is 0."""
+    if not v:
+        return None
+    v = _integer(v)
+    c = gcd(v, s.numerator)
+    return (v // c * s.denominator).bit_length() + (s.numerator // c).bit_length()
+
+
+def _integer(v):
+    """An int, or a real Gaussian integer as an int."""
+    return v.re.numerator if type(v) is Scalar else v
+
+
+def _primitive(row, gaussian):
+    """row divided by the positive gcd c of its integer parts, and c (0 for a zero row)."""
+    if gaussian:
+        c = gcd(*(q.numerator for v in row for q in (v.re, v.im)))
+        return ([Scalar(v.re / c, v.im / c) for v in row] if c > 1 else row), c
+    c = gcd(*row)
+    return ([v // c for v in row] if c > 1 else row), c
 
 
 def verdict_kind(inertia):

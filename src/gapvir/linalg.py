@@ -2,8 +2,8 @@
 
 Entry rule: a matrix whose entries are all real (ints, Fractions or real
 Scalars) is eliminated on bare Fractions, any other matrix on Scalars.
-working_copy() applies the rule for every exact elimination (rank,
-nullspace, forms.definiteness), so only this module inspects entry types.
+working_copy() applies the rule for rank and nullspace;
+forms.definiteness eliminates on integer rows of its own.
 Meant for desk-scale matrices (dimensions in the tens to low hundreds).
 
 Eliminations pivot by size: among the entries eligible as a pivot they take
@@ -15,14 +15,6 @@ choice changes neither rank nor nullspace.
 from fractions import Fraction
 
 from .scalars import ONE, ZERO, Scalar, scalar
-
-
-def _identity(v):
-    return v
-
-
-def _real_part(v):
-    return v.re
 
 
 def _bits(q):
@@ -41,11 +33,11 @@ def entry_size(v):
 
 
 def working_copy(rows):
-    """Mutable copy of rows by the entry rule, with the matching conj and real-part maps."""
+    """Mutable copy of rows by the entry rule."""
     if all(type(v) is not Scalar or not v.im for row in rows for v in row):
-        return ([[v.re if type(v) is Scalar else Fraction(v) if type(v) is int else v
-                  for v in row] for row in rows], _identity, _identity)
-    return [[scalar(v) for v in row] for row in rows], Scalar.conj, _real_part
+        return [[v.re if type(v) is Scalar else Fraction(v) if type(v) is int else v
+                 for v in row] for row in rows]
+    return [[scalar(v) for v in row] for row in rows]
 
 
 def row_reduce(rows, ncols):
@@ -81,12 +73,12 @@ def row_reduce(rows, ncols):
 
 
 def rank(rows, ncols):
-    return len(row_reduce(working_copy(rows)[0], ncols))
+    return len(row_reduce(working_copy(rows), ncols))
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel, one list of Scalar coordinates per basis vector."""
-    work = working_copy(rows)[0]
+    work = working_copy(rows)
     pivots = row_reduce(work, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

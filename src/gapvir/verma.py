@@ -182,6 +182,7 @@ def indexed_values(p, found, source, prefix, first, last, fill, extra=(), given=
             raise ConfigError("%s is out of range: p=%d allows --%s%d..--%s%d"
                               % (where(name), p, prefix, first, prefix, last))
     values = []
+    fill = scalar(fill)
     for name in names:
         try:
             values.append(scalar(given.get(name, found.get(name, fill))))
@@ -221,7 +222,8 @@ class VermaModule:
         self.scale = lcm(2 * alg.p, *(q.denominator for v in (hw.l0,) + hw.c for q in (v.re, v.im)))
         self._k_l0, *self._k_c = (self._scaled(v) for v in (hw.l0,) + hw.c)
         self._act_cache = {}
-        self._gram_cache = {}  # Gram rows by (theta, level), filled by forms.gram
+        self._bracket_cache = {}  # K-scaled brackets [(h, K s)] by (g, leading factor)
+        self._gram_cache = {}  # theta -> Gram rows of levels 0, 1, ..., filled by forms.gram
         self._basis_cache = {}
 
     # -- basis ---------------------------------------------------------
@@ -347,8 +349,11 @@ class VermaModule:
         for m2, c2 in self.act_gen(g, tail).items():
             for m3, c3 in self.act_gen(lead, m2).items():
                 add_term(out, m3, c2 * c3)
-        for h, ch in alg.bracket_gens(g, lead):
-            ch = self._scaled(ch)
+        brackets = self._bracket_cache.get((g, lead))
+        if brackets is None:
+            brackets = self._bracket_cache[g, lead] = [(h, self._scaled(ch))
+                                                       for h, ch in alg.bracket_gens(g, lead)]
+        for h, ch in brackets:
             for m2, c2 in self.act_gen(h, tail).items():
                 add_term(out, m2, ch * c2)
         return out

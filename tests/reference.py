@@ -11,7 +11,11 @@ per-entry contravariant form, on that action, that the recursive Gram
 assembly must match.  ``kac_wall_inertia`` classifies the Kac walls on
 Scalars through kac_factor and phi_virasoro.  ``apply_involution`` and
 ``chevalley`` extend an anti-involution and the Chevalley automorphism to
-elements of the algebra.
+elements of the algebra.  ``definiteness`` is the LDL* the library ran
+before it eliminated the scaled integer rows: on Fractions for a real matrix,
+on Scalars otherwise, updating the upper triangle with exact Schur
+complements, so its pivots, witness and inertia are the ones the
+fraction-free elimination must reproduce.
 """
 
 import weakref
@@ -19,9 +23,11 @@ from fractions import Fraction
 
 from gapvir.algebra import KIND_C, KIND_L, AntiInvolution, Element, add_term
 from gapvir.errors import ConfigError
-from gapvir.forms import _signed_partition_counts, kac_factor, phi_virasoro
-from gapvir.linalg import nullspace
-from gapvir.scalars import ONE, ZERO, Scalar
+from gapvir.errors import GramIntegrityError
+from gapvir.forms import (INDEFINITE, DefinitenessVerdict, _signed_partition_counts, kac_factor,
+                          phi_virasoro, verdict_kind)
+from gapvir.linalg import entry_size, nullspace
+from gapvir.scalars import ONE, ZERO, Scalar, scalar
 from gapvir.verma import EMPTY_MONOMIAL, ModuleVector, PBWMonomial, partition_count
 
 _memos = weakref.WeakKeyDictionary()  # module -> {(g, mono): {mono: Scalar}}
@@ -307,3 +313,80 @@ def chevalley(alg, x):
     for g, c in x.terms.items():
         add_term(acc, theta.image_of(g)[0], -c)
     return Element(alg.p, acc)
+
+
+def definiteness(g):
+    """forms.definiteness by exact Schur complements of G's entries, lowest-size pivot first."""
+    entries = [[scalar(v) for v in row] for row in g.entries]
+    n = g.dim()
+    if any(entries[b][a] != entries[a][b].conj() for a in range(n) for b in range(a, n)):
+        raise GramIntegrityError("gram matrix is not Hermitian")
+    if all(not v.im for row in entries for v in row):
+        a = [[v.re for v in row] for row in entries]
+        conj = real = lambda v: v  # noqa: E731
+    else:
+        a = [list(row) for row in entries]
+        conj, real = Scalar.conj, lambda v: v.re  # noqa: E731
+    # Only a[r][c] with r <= c is kept up to date; below the diagonal the
+    # entry is the conjugate of its mirror.  active stays in ascending order.
+    active = list(range(n))
+
+    def column(k):
+        return {r: a[r][k] if r <= k else conj(a[k][r]) for r in active}
+
+    n_pos = n_neg = n_zero = 0
+    pivot_trail = []
+    witness = ()
+    while active:
+        nonzero = [k for k in active if a[k][k]]
+        if nonzero:
+            best = min(nonzero, key=lambda k: entry_size(a[k][k]))
+            d = real(a[best][best])
+            pivot_trail.append(best)
+            if d > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            active.remove(best)
+            dinv = 1 / d
+            col = column(best)
+            colc = {r: conj(v) for r, v in col.items()}
+            for k, r in enumerate(active):
+                cr = col[r]
+                if not cr:
+                    continue
+                f = cr * dinv
+                row = a[r]
+                for c in active[k:]:
+                    if colc[c]:
+                        row[c] = row[c] - f * colc[c]
+            if not witness and n_pos and n_neg:
+                witness = tuple(pivot_trail)
+            continue
+        # all remaining diagonals vanish
+        pair = next(((ii, jj) for ii in active for jj in active if ii < jj and a[ii][jj]), None)
+        if pair is None:
+            n_zero += len(active)
+            break
+        ii, jj = pair
+        gg = a[ii][jj]
+        n_pos += 1
+        n_neg += 1
+        if not witness:
+            witness = (ii, jj)
+        active.remove(ii)
+        active.remove(jj)
+        gi = 1 / gg
+        gci = 1 / conj(gg)
+        coli = column(ii)
+        colj = column(jj)
+        for k, r in enumerate(active):
+            row = a[r]
+            for c in active[k:]:
+                corr = (colj[r] * gi * conj(coli[c])
+                        + coli[r] * gci * conj(colj[c]))
+                if corr:
+                    row[c] = row[c] - corr
+    inertia = (n_pos, n_neg, n_zero)
+    kind = verdict_kind(inertia)
+    return DefinitenessVerdict(kind, witness if kind == INDEFINITE else (), inertia)

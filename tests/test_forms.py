@@ -115,8 +115,8 @@ def test_definiteness_agrees_with_kernel_rank():
     # Gram levels with partial J, singular from level 1 on
     module = VermaModule(GapVirasoro(4), HighestWeight.make(4, "0", ["1", "0", "1"]))
     matrices += [gram(module, AntiInvolution.plus(4), d) for d in range(7)]
-    # real symmetric M (the Fraction path) against D M D* with D diagonal and
-    # unit-modulus (the Scalar path): same pivots, so the same verdict
+    # real symmetric M (integer rows) against D M D* with D diagonal and
+    # unit-modulus (Gaussian integer rows): same pivots, so the same verdict
     for _ in range(60):
         n = rng.randint(1, 10)
         m = _real_symmetric(rng, n)

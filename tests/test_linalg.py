@@ -32,7 +32,7 @@ def random_matrix(rng, complex_entries):
 
 
 def pivot_columns(rows, ncols):
-    return row_reduce(working_copy(rows)[0], ncols)
+    return row_reduce(working_copy(rows), ncols)
 
 
 def check_kernel(rows, ncols):
@@ -63,8 +63,8 @@ def test_nullspace_and_rank_on_both_entry_paths():
         assert rank(scaled, ncols) == rank(rows, ncols)
         assert pivot_columns(scaled, ncols) == pivot_columns(rows, ncols)
         if any(any(row) for row in rows):
-            assert isinstance(working_copy(scaled)[0][0][0], Scalar)
-            assert not isinstance(working_copy(rows)[0][0][0], Scalar)
+            assert isinstance(working_copy(scaled)[0][0], Scalar)
+            assert not isinstance(working_copy(rows)[0][0], Scalar)
     assert {(True, False), (False, True)} <= shapes
 
 
@@ -115,7 +115,7 @@ def test_size_pivot_gives_the_first_nonzero_echelon_form():
     for case in range(80):
         rows, ncols = sized_matrix(rng, complex_entries=case % 2 == 1)
         shapes.add((len(rows) > ncols, len(rows) < ncols, rank(rows, ncols) < min(len(rows), ncols)))
-        work = working_copy(rows)[0]
+        work = working_copy(rows)
         column = [row[0] for row in work if row[0]]
         moved += bool(column) and entry_size(column[0]) > min(map(entry_size, column))
         reference = [list(row) for row in work]

@@ -76,12 +76,10 @@ def test_scale_covers_every_denominator():
     vec = module.basis_vector(PBWMonomial((2, 1), ((1, 1),)))
     for g in generators(alg, True):
         assert module.act(g, vec) == reference.act(module, g, vec), g
-    for d in range(7):
-        gram(module, AntiInvolution.plus(2), d)
+    levels = [gram(module, AntiInvolution.plus(2), d) for d in range(7)]
     assert module._act_cache
     assert all(type(c) is int for res in module._act_cache.values() for c in res.values())
-    assert all(type(e) is int for d in range(7)
-               for row in module._gram_cache[AntiInvolution.plus(2), d] for e in row)
+    assert all(type(e) is int for g in levels for row in g.rows for e in row)
     # a complex weight scales by the denominators of both parts
     cx = VermaModule(alg, HighestWeight.make(2, "1/3+1/5*i", ["1", "1/2-1/11*i"]))
     assert cx.scale == 660
