@@ -247,9 +247,6 @@ class GapVirasoro:
             raise ConfigError("C-index must satisfy 0 <= j <= p-1, got %d" % j)
         return Gen(KIND_C, min(j, self.p - j))
 
-    def gen_element(self, g, coeff=1):
-        return Element(self.p, {g: scalar(coeff)})
-
     def basis_window(self, lo, hi):
         """All basis labels with mode in [lo, hi], plus every central C_j."""
         gens = [self.L(n) for n in range(lo, hi + 1)]

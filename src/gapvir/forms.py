@@ -29,15 +29,15 @@ principal block [[0,g],[g*,0]] that contributes one positive and one
 negative inertia count; leading principal minors alone would misclassify
 such matrices.  Sylvester's law then turns the exact pivot signs into an
 exact inertia triple, hence an exact verdict.  The elimination runs on G'
-itself, its rows cleared of denominators (to Gaussian integers if complex),
-fraction-free: a pivot d sets row r to |d| row_r - sgn(d) a_rb row_b, a 2x2
-block to a_ij a_ji row_r - a_ri a_ij row_j - a_rj a_ji row_i, and the row is
-divided by the positive gcd of its integer parts.  Each step scales a row of
-the Schur complement by a positive number, so no later pivot changes sign.
-Rows scaled apart are not symmetric, so full rows are kept.  The pivot rule
-reads a[k][k] / s_k, the diagonal of G's own Schur complement: s_k is
-K^(2|x_k|) times the row's clearing denominator and later multipliers over
-its gcds.  So pivots, witness and inertia are those of the LDL* on G.
+itself, fraction-free on linalg.cleared rows: a pivot d sets row r to
+|d| row_r - sgn(d) a_rb row_b, a 2x2 block to a_ij a_ji row_r - a_ri a_ij
+row_j - a_rj a_ji row_i, and linalg.primitive divides out the row's gcd.
+Each step scales a row of the Schur complement by a positive number, so no
+later pivot changes sign; rows scaled apart are not symmetric, so full rows
+are kept.  The pivot rule reads a[k][k] / s_k, the diagonal of G's own
+Schur complement: s_k is K^(2|x_k|) times the row's clearing denominator and
+later multipliers over its gcds.  So pivots, witness and inertia are those
+of the LDL* on G.
 verdict_kind is the one rule from an inertia triple to a verdict.
 
 split_inertia reaches the same triples without the full Gram matrix.  For a
@@ -55,10 +55,12 @@ Sugawara-shifted L commutes with Fock(J), and the module is Fock(J) (x)
 M_rest(psi), M_rest the Verma module of psi's complement sector (L and the
 I^i with i not in J; the Virasoro sector when J is full).  Fock(J) is
 irreducible, so the singular count at every level is that of M_rest(psi);
-this needs no real weight.  For a real weight, gramKernel and verdict come
-from split_inertia; a complex weight has no Gram fields.  The brute routes
-(the full Gram matrix, the full module's singular vectors) re-derive the
-levels up to split_check_level: those whose full dimension is at most the
+this needs no real weight.  A singular count is VermaModule.singular_count,
+the level's dimension less the exact integer rank of the K-scaled raising
+rows; no singular vector is built.  For a real weight, gramKernel and verdict
+come from split_inertia; a complex weight has no Gram fields.  The brute
+routes (the full Gram matrix, the full module's singular count) re-derive
+the levels up to split_check_level: those whose full dimension is at most the
 largest Virasoro-sector dimension the split used.  crossCheck records
 whether the routes agree (singular counts alone for a complex weight); the
 CLI exits 1 when they do not.  The restricted sectors stay brute.
@@ -71,10 +73,11 @@ by kac_scan and at psi, the gap-p criterion by the split, by phiCriterion.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
+from .linalg import cleared, primitive
 from .oscillator import shifted_weight, virasoro_weight
 from .scalars import ZERO, Scalar, scalar, sign_of_real
 from .verma import Sector, VermaModule, partition_count
@@ -142,17 +145,18 @@ def gram(module, theta, d):
     if theta.kind != "plus":
         raise UnsupportedInvolutionError(
             "contravariant Gram forms need a plus-type involution")
-    levels = module._gram_cache.setdefault(theta, [])
+    levels, images = module._gram_cache.setdefault(theta, ([], {}))
     while len(levels) <= d:
-        levels.append(_gram_level(module, theta, levels))
+        levels.append(_gram_level(module, theta, levels, images))
     return GramMatrix(d, module.pbw_basis(d), levels[d], theta, module)
 
 
-def _gram_level(module, theta, levels):
+def _gram_level(module, theta, levels, images):
     """Rows of the rescaled Gram matrix G' at level d = len(levels), by the module docstring.
 
-    levels holds the rows of levels 0..d-1.  Columns that share a leading
-    factor share one act_gen call per row.
+    levels holds the rows of levels 0..d-1, and images theta's image of each
+    leading factor met so far.  Columns that share a leading factor share one
+    act_gen call per row.
     """
     d = len(levels)
     if not d:
@@ -162,12 +166,16 @@ def _gram_level(module, theta, levels):
     rows = [[0] * n for _ in range(n)]
     by_lead = {}
     for b, y in enumerate(basis):
-        by_lead.setdefault(y.leading(), []).append((b, y.tail()))
+        lead, _, tail = module.split(y)
+        by_lead.setdefault(lead, []).append((b, tail))
     p = module.alg.p
     for f, cols in by_lead.items():
-        g, c = theta.image_of(f)
-        if not c.im:  # an int c keeps int rows int
-            c = c.re.numerator if c.re.denominator == 1 else c.re
+        if f not in images:
+            g, c = theta.image_of(f)
+            if not c.im:  # an int c keeps int rows int
+                c = c.re.numerator if c.re.denominator == 1 else c.re
+            images[f] = g, c
+        g, c = images[f]
         lower_level = cols[0][1].plevel(p)
         lower = levels[lower_level]
         index = {m: k for k, m in enumerate(module.pbw_basis(lower_level))}
@@ -195,19 +203,14 @@ def definiteness(g):
     # a[r][r] is s[r] times G's own Schur diagonal; idx[r] is position r's basis index
     a, s = [], []
     for x, row in zip(g.basis, g.rows):
-        den = 1
-        if any(type(v) is not int for v in row):
-            den = lcm(*(q.denominator for v in row
-                        for q in ((v.re, v.im) if type(v) is Scalar else (v,))))
-            row = ([scalar(v) * den for v in row] if gaussian else
-                   [((v.re if type(v) is Scalar else v) * den).numerator for v in row])
-        a.append(list(row))
+        row, den = cleared(row, gaussian)
+        a.append(row)
         s.append(Fraction(den if g.module is None else den * g.module.scale ** (2 * x.length())))
     idx = list(range(len(a)))
     sizes = [_pivot_size(row[r], s[r]) for r, row in enumerate(a)]
 
     def renew(r, row, mult):
-        row, c = _primitive(row, gaussian)
+        row, c = primitive(row, gaussian)
         a[r] = row
         if c:
             s[r] = Fraction(s[r].numerator * mult, s[r].denominator * c)
@@ -269,15 +272,6 @@ def _pivot_size(v, s):
 def _integer(v):
     """An int, or a real Gaussian integer as an int."""
     return v.re.numerator if type(v) is Scalar else v
-
-
-def _primitive(row, gaussian):
-    """row divided by the positive gcd c of its integer parts, and c (0 for a zero row)."""
-    if gaussian:
-        c = gcd(*(q.numerator for v in row for q in (v.re, v.im)))
-        return ([Scalar(v.re / c, v.im / c) for v in row] if c > 1 else row), c
-    c = gcd(*row)
-    return ([v // c for v in row] if c > 1 else row), c
 
 
 def verdict_kind(inertia):
@@ -485,7 +479,7 @@ def reducibility_report(module, max_level, max_ab=None):
 
 
 def _brute_singular(module, d):
-    return len(module.singular_vectors(d)) if d and module.graded_dim(d) else 0
+    return module.singular_count(d) if d else 0
 
 
 def _brute_inertia(module, theta, d):
@@ -517,7 +511,7 @@ def kac_scan(alg, c_values, h_values, max_vir_level, max_ab):
             if kac_zeros(h, c, max_ab):
                 zero_h.append(str(scalar(h)))
             module = virasoro_module(alg, h, c)
-            if any(module.singular_vectors(p * lvl)
+            if any(module.singular_count(p * lvl)
                    for lvl in range(1, max_vir_level + 1)):
                 singular_h.append(str(scalar(h)))
         equal = zero_h == singular_h

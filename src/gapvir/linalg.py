@@ -1,18 +1,24 @@
 """Small exact linear-algebra routines over the Gaussian rationals.
 
-Entry rule: a matrix whose entries are all real (ints, Fractions or real
-Scalars) is eliminated on bare Fractions, any other matrix on Scalars.
-working_copy() applies the rule for rank and nullspace;
-forms.definiteness eliminates on integer rows of its own.
-Meant for desk-scale matrices (dimensions in the tens to low hundreds).
-
-Eliminations pivot by size: among the entries eligible as a pivot they take
-the one of fewest bits (entry_size), which keeps the growth of exact
-intermediate entries down.  The reduced row echelon form is unique, so the
-choice changes neither rank nor nullspace.
+rank and nullspace eliminate fraction-free, like forms.definiteness, on rows
+that cleared() multiplied by the lcm of their denominators: ints, or
+Gaussian-integer Scalars when some entry of the matrix is complex.  Each row
+is a dict of its nonzero entries, so zeros are never touched.  Column by
+column, the entry of fewest bits (entry_size) among the live rows is the
+pivot d; every other live row with entry f there becomes d row - f pivot
+(both divided by gcd(d, f) for ints), divided by the positive gcd of its
+integer parts (primitive).  Each step keeps the row space, so the pivot rows
+are a row echelon form: their number is the rank, and nullspace reads the
+kernel off them by back substitution.  After k pivots a live row lies in
+the span of k + 1 input rows and vanishes on the k pivot columns, so it is a
+multiple of a vector of (k+1)-minors; for ints its primitive form divides
+that vector, so entries stay within Hadamard's bound.  Any pivot order
+gives the same rank and kernel.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 
 from .scalars import ONE, ZERO, Scalar, scalar
 
@@ -22,73 +28,94 @@ def _bits(q):
 
 
 def entry_size(v):
-    """Bits of a nonzero exact entry: numerator plus denominator bit lengths.
-
-    A Scalar sums them over its nonzero parts, so a real Scalar has the size
-    of its Fraction and both entry paths pick the same pivots.
-    """
+    """Bits of a nonzero exact entry: an int's own, numerator plus denominator bit lengths
+    of a Fraction, their sum over the nonzero parts of a Scalar (a real one sizes as its
+    Fraction)."""
+    if type(v) is int:
+        return v.bit_length()
     if type(v) is Fraction:
         return _bits(v)
     return _bits(v.re) + _bits(v.im) if v.im else _bits(v.re)
 
 
-def working_copy(rows):
-    """Mutable copy of rows by the entry rule."""
-    if all(type(v) is not Scalar or not v.im for row in rows for v in row):
-        return [[v.re if type(v) is Scalar else Fraction(v) if type(v) is int else v
-                 for v in row] for row in rows]
-    return [[scalar(v) for v in row] for row in rows]
+def cleared(row, gaussian):
+    """row times the lcm den of its denominators, and den: ints, or Scalars if gaussian."""
+    if not gaussian and set(map(type, row)) <= {int}:
+        return list(row), 1
+    den = lcm(*(q.denominator for v in row
+                for q in ((v.re, v.im) if type(v) is Scalar else (v,))))
+    if gaussian:
+        return [scalar(v) * den if den > 1 else scalar(v) for v in row], den
+    return [((v.re if type(v) is Scalar else v) * den).numerator for v in row], den
 
 
-def row_reduce(rows, ncols):
-    """In-place reduced row echelon form of Fraction or Scalar rows; returns the pivot columns.
+def primitive(row, gaussian):
+    """row divided by the positive gcd c of its integer parts, and c (0 for a zero row)."""
+    if gaussian:
+        c = gcd(*(q.numerator for v in row for q in (v.re, v.im)))
+        return ([Scalar(v.re / c, v.im / c) for v in row] if c > 1 else row), c
+    c = gcd(*row)
+    return ([v // c for v in row] if c > 1 else row), c
 
-    Column c's pivot is its smallest nonzero entry below the rows already
-    reduced, the first such row on a tie.
-    """
-    pivots = []
-    r = 0
+
+def _echelon(rows, ncols):
+    """The pivot rows by column after elimination (module docstring), and whether the
+    matrix is Gaussian."""
+    rows = [dict(filter(itemgetter(1), row.items() if type(row) is dict else enumerate(row)))
+            for row in rows]
+    gaussian = any(type(v) is Scalar and v.im for row in rows for v in row.values())
+    live = [dict(zip(row, cleared(list(row.values()), gaussian)[0])) for row in rows if row]
+    pivots = {}  # column -> pivot row {column: nonzero entry}
     for c in range(ncols):
-        candidates = [k for k in range(r, len(rows)) if rows[k][c]]
-        if not candidates:
+        hits = [row for row in live if c in row]
+        if not hits:
             continue
-        pivot_row = min(candidates, key=lambda k: entry_size(rows[k][c]))
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        row = rows[r]
-        inv = 1 / row[c]
-        # entries left of c vanish, so an update touches the nonzero ones from c on
-        support = [j for j in range(c, ncols) if row[j]]
-        for j in support:
-            row[j] = row[j] * inv
-        for k, other in enumerate(rows):
-            f = other[c]
-            if k != r and f:
-                for j in support:
-                    other[j] = other[j] - f * row[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        pivot = pivots[c] = min(hits, key=lambda row: entry_size(row[c]))
+        live = [row for row in live if c not in row]
+        for row in hits:
+            if row is pivot:
+                continue
+            d, f = pivot[c], row[c]
+            if not gaussian:
+                g = gcd(d, f) if d > 0 else -gcd(d, f)
+                d, f = d // g, f // g
+            if gaussian or d != 1:
+                row = {j: d * v for j, v in row.items()}
+            for j, v in pivot.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if row:
+                values, g = primitive(list(row.values()), gaussian)
+                live.append(dict(zip(row, values)) if g > 1 else row)
+    return pivots, gaussian
 
 
 def rank(rows, ncols):
-    return len(row_reduce(working_copy(rows), ncols))
+    """Rank of rows, lists of ncols entries or dicts {column: entry}."""
+    return len(_echelon(rows, ncols)[0])
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel, one list of Scalar coordinates per basis vector."""
-    work = working_copy(rows)
-    pivots = row_reduce(work, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of the right kernel of rows as in rank, one list of Scalars per vector.
+
+    A free column f gives the vector with 1 at f, 0 at the other free columns
+    and its pivot coordinates by back substitution: the basis that the
+    reduced row echelon form gives.
+    """
+    pivots, gaussian = _echelon(rows, ncols)
+    order = sorted(pivots, reverse=True)
     basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v = work[r][fc]
-            if v:
-                vec[pc] = scalar(-v)
-        basis.append(vec)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: ONE if gaussian else Fraction(1)}
+        for c in order:
+            row = pivots[c]
+            s = sum(v * vec[j] for j, v in row.items() if j in vec)
+            if s:
+                vec[c] = -s / row[c]
+        basis.append([scalar(vec[c]) if c in vec else ZERO for c in range(ncols)])
     return basis

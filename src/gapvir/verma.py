@@ -5,19 +5,22 @@ scaled by p so every level is a non-negative integer.  A factor L_{-n}
 contributes n*p, a factor I_{-m}^i contributes m*p - i.  Since the two
 families cover the multiples of p and the non-multiples of p respectively,
 monomials of p-level d correspond exactly to integer partitions of d (for the
-unrestricted module), and a basis enumeration is a partition enumeration.
-Dimensions are counted by a partition DP over the sector's factor sizes;
-bases are enumerated only where their monomials are needed.
+unrestricted module).  Dimensions are counted by a partition DP over the
+sector's factor sizes; bases are built only where their monomials are needed.
 
 A monomial is kept in canonical order: L-factors to the left of I-factors,
 L-factors by depth descending, I-factors by (m, i) descending.  Negative-mode
 I-factors commute with each other (their bracket needs m + m' = 1, impossible
-for m, m' >= 1), so the I-block carries no ordering corrections.
+for m, m' >= 1), so the I-block carries no ordering corrections.  A monomial
+is its leading factor f times a tail at level d - |f| whose own leading
+factor ranks at most f, so pbw_basis fills the levels upward, each from the
+cached ones below, with no recursion.
 
 Straightening is rightmost-first: a generator applied to a canonical monomial
 is either prepended (when the canonical order allows) or commuted past the
 leading factor, trading the pair for a bracket term at lower p-level.  Results
-are memoized per module, keyed by (generator, monomial).
+are memoized per module, keyed by (generator, monomial), and so is each
+monomial's split into its leading factor and tail.
 
 The memo works in a rescaled basis: with K (VermaModule.scale) the lcm of 2p
 and every denominator in phi(L_0) and the phi(C_j), a generator X stands for
@@ -26,9 +29,12 @@ has coefficient 1, C_j' and L_0' act by K phi(C_j) and K (phi(L_0) + d/p),
 and a bracket term carries K s, an int: every structure constant s has a
 denominator dividing 2p.  So act_gen(g, x)[z], K^(1 + |x| - |z|) times the
 coefficient of z in g x, is an int for a real weight; act and
-singular_vectors divide the scale back out.
+singular_vectors divide the scale back out.  singular_count ranks the memo's
+entries as they stand, which differ from the unscaled ones by row and
+column factors only.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +42,8 @@ from math import lcm
 
 from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
 from .errors import ConfigError, ScalarParseError
-from .linalg import nullspace
-from .scalars import ONE, ZERO, Scalar, scalar
+from .linalg import nullspace, rank
+from .scalars import ONE, Scalar, scalar
 
 
 class PBWMonomial(namedtuple("PBWMonomial", "lparts iparts", defaults=((), ()))):
@@ -68,11 +74,6 @@ class PBWMonomial(namedtuple("PBWMonomial", "lparts iparts", defaults=((), ())))
         if self.lparts:
             return PBWMonomial(self.lparts[1:], self.iparts)
         return PBWMonomial(self.lparts, self.iparts[1:])
-
-    def factors(self):
-        gens = [Gen(KIND_L, -n) for n in self.lparts]
-        gens += [Gen(KIND_I, -m, i) for m, i in self.iparts]
-        return gens
 
     def text(self):
         body = "".join("L[%d]" % -n for n in self.lparts)
@@ -223,8 +224,9 @@ class VermaModule:
         self._k_l0, *self._k_c = (self._scaled(v) for v in (hw.l0,) + hw.c)
         self._act_cache = {}
         self._bracket_cache = {}  # K-scaled brackets [(h, K s)] by (g, leading factor)
-        self._gram_cache = {}  # theta -> Gram rows of levels 0, 1, ..., filled by forms.gram
-        self._basis_cache = {}
+        self._gram_cache = {}  # theta -> (Gram rows of levels 0, 1, ..., images), by forms.gram
+        self._bases = [[EMPTY_MONOMIAL]]  # pbw_basis of levels 0, 1, ..., filled upward
+        self._splits = {}  # monomial -> (leading factor, its _rank, tail)
 
     # -- basis ---------------------------------------------------------
 
@@ -242,31 +244,24 @@ class VermaModule:
         return sizes
 
     def pbw_basis(self, d):
-        """All monomials of p-level d, in canonical descending order."""
+        """All monomials of p-level d, in canonical descending order (module docstring)."""
         if d < 0:
             raise ConfigError("p-level must be >= 0")
-        cached = self._basis_cache.get(d)
-        if cached is not None:
-            return cached
-        p = self.alg.p
-        sizes = self._part_sizes(d)
-        out = []
-
-        def build(remaining, max_size, chosen):
-            if remaining == 0:
-                lparts = tuple(sorted((s // p for s in chosen if s % p == 0), reverse=True))
-                iparts = tuple(sorted((((s + (p - s % p)) // p, p - s % p)
-                                       for s in chosen if s % p != 0), reverse=True))
-                out.append(PBWMonomial(lparts, iparts))
-                return
-            for s in sizes:
-                if s <= min(remaining, max_size):
-                    build(remaining - s, s, chosen + (s,))
-
-        build(d, d if d else 1, ())
-        out.sort(reverse=True)
-        self._basis_cache[d] = out
-        return out
+        levels, p, sizes = self._bases, self.alg.p, self._part_sizes(d)
+        for e in range(len(levels), d + 1):
+            out = []
+            for s in sizes[:bisect_right(sizes, e)]:
+                if s % p == 0:
+                    n = s // p
+                    out += [PBWMonomial((n,) + y.lparts, y.iparts) for y in levels[e - s]
+                            if not y.lparts or y.lparts[0] <= n]
+                else:
+                    f = ((s + p - s % p) // p, p - s % p)
+                    out += [PBWMonomial((), (f,) + y.iparts) for y in levels[e - s]
+                            if not y.lparts and (not y.iparts or y.iparts[0] <= f)]
+            out.sort(reverse=True)
+            levels.append(out)
+        return levels[d]
 
     def graded_dims(self, max_level):
         """Monomial counts at p-levels 0..max_level, by a partition DP over the factor sizes."""
@@ -283,9 +278,6 @@ class VermaModule:
 
     def highest_vector(self):
         return ModuleVector(self, {EMPTY_MONOMIAL: ONE})
-
-    def vector(self, terms):
-        return ModuleVector(self, terms)
 
     def basis_vector(self, mono):
         return ModuleVector(self, {mono: ONE})
@@ -338,13 +330,12 @@ class VermaModule:
             if g.i not in self.sector.i_indices:
                 return {}
             lowering = g.n < 0
-        lead = mono.leading()
-        if lowering and (lead is None or _rank(g) >= _rank(lead)):
+        lead, lead_rank, tail = self._splits.get(mono) or self.split(mono)
+        if lowering and (lead is None or _rank(g) >= lead_rank):
             return {self._prepended(g, mono): 1}
         if lead is None:  # a raising generator kills the highest weight vector
             return {}
         # commute g past the leading factor: g f = f g + [g, f]
-        tail = mono.tail()
         out = {}
         for m2, c2 in self.act_gen(g, tail).items():
             for m3, c3 in self.act_gen(lead, m2).items():
@@ -357,6 +348,14 @@ class VermaModule:
             for m2, c2 in self.act_gen(h, tail).items():
                 add_term(out, m2, ch * c2)
         return out
+
+    def split(self, mono):
+        """(leading factor, its _rank, tail) of mono, memoized; the first two None if empty."""
+        hit = self._splits.get(mono)
+        if hit is None:
+            lead = mono.leading()
+            hit = self._splits[mono] = (lead, lead and _rank(lead), mono.tail())
+        return hit
 
     @staticmethod
     def _prepended(g, mono):
@@ -377,29 +376,38 @@ class VermaModule:
             return [self.alg.L(1), self.alg.L(2)] + [self.alg.I(0, i) for i in i_indices]
         return [self.alg.I(n, i) for n in range(d // self.alg.p + 1) for i in i_indices]
 
-    def singular_vectors(self, d):
-        """Exact basis of level-d vectors killed by the raising set."""
+    def _raising_rows(self, d, unscale):
+        """The level-d basis and the raising set's blocks stacked, as rows {column: entry}:
+        act_gen(g, x)[z] at (z, x), unscaled if asked.  No rows on an empty basis."""
         if d < 1:
             raise ConfigError("singular vectors live at p-level >= 1")
         basis = self.pbw_basis(d)
-        if not basis:
-            return []
-        p = self.alg.p
         rows = []
-        for g in self.raising_set(d):
-            shift = -self.alg.weight_of(g) * p  # positive drop in p-level
-            target = d - int(shift)
+        for g in self.raising_set(d) if basis else ():
+            target = d - g.n * self.alg.p - g.i  # g lowers the p-level by n p + i
             if target < 0:
                 continue
             index = {m: k for k, m in enumerate(self.pbw_basis(target))}
-            block = [[ZERO] * len(basis) for _ in index]
+            block = [{} for _ in index]
             for b, mono in enumerate(basis):
                 for m2, c2 in self.act_gen(g, mono).items():
-                    block[index[m2]][b] = self.unscaled(c2, m2.length() - mono.length() - 1)
+                    block[index[m2]][b] = (self.unscaled(c2, m2.length() - mono.length() - 1)
+                                           if unscale else c2)
             rows += block
-        sols = nullspace(rows, len(basis))
+        return basis, rows
+
+    def singular_vectors(self, d):
+        """Exact basis of level-d vectors killed by the raising set."""
+        basis, rows = self._raising_rows(d, True)
         return [ModuleVector(self, {m: c for m, c in zip(basis, sol) if c})
-                for sol in sols]
+                for sol in nullspace(rows, len(basis))] if basis else []
+
+    def singular_count(self, d):
+        """dim of the level-d singular space: dim - rank of the raising rows, taken on the
+        memo's entries c; the unscaled c K^(|z| - |x| - 1) scales them by a row factor
+        K^|z| and a column factor K^-(|x| + 1), which keep the rank."""
+        basis, rows = self._raising_rows(d, False)
+        return len(basis) - rank(rows, len(basis)) if basis else 0
 
 
 def partition_count(n, cache={0: 1}):

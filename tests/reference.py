@@ -8,8 +8,13 @@ action is rebuilt from the module's a, b and F rather than taken from its
 straightens on Scalars in the unscaled PBW basis, with a memo of its own,
 and ``act`` and ``singular_vectors`` are built on it; ``pairing`` is the
 per-entry contravariant form, on that action, that the recursive Gram
-assembly must match.  ``kac_wall_inertia`` classifies the Kac walls on
-Scalars through kac_factor and phi_virasoro.  ``apply_involution`` and
+assembly must match.  ``pbw_basis`` enumerates a level's monomials by
+recursion over partitions, and ``gen_element`` wraps one basis label as an
+element.  ``working_copy`` and ``row_reduce`` are the Fraction (or Scalar)
+reduced row echelon form, pivoting on the entry of fewest bits, that the
+library's rank and nullspace ran before they eliminated fraction-free.
+``kac_wall_inertia`` classifies the Kac walls on Scalars through kac_factor
+and phi_virasoro.  ``apply_involution`` and
 ``chevalley`` extend an anti-involution and the Chevalley automorphism to
 elements of the algebra.  ``definiteness`` is the LDL* the library ran
 before it eliminated the scaled integer rows: on Fractions for a real matrix,
@@ -21,7 +26,7 @@ fraction-free elimination must reproduce.
 import weakref
 from fractions import Fraction
 
-from gapvir.algebra import KIND_C, KIND_L, AntiInvolution, Element, add_term
+from gapvir.algebra import KIND_C, KIND_I, KIND_L, AntiInvolution, Element, Gen, add_term
 from gapvir.errors import ConfigError
 from gapvir.errors import GramIntegrityError
 from gapvir.forms import (INDEFINITE, DefinitenessVerdict, _signed_partition_counts, kac_factor,
@@ -43,6 +48,33 @@ def _prepended(g, mono):
     if g.kind == KIND_L:
         return PBWMonomial((-g.n,) + mono.lparts, mono.iparts)
     return PBWMonomial(mono.lparts, ((-g.n, g.i),) + mono.iparts)
+
+
+def gen_element(alg, g, coeff=1):
+    return Element(alg.p, {g: scalar(coeff)})
+
+
+def pbw_basis(module, d):
+    """The monomials of p-level d in canonical descending order, by partitions of d into
+    the sector's factor sizes, largest part first."""
+    p = module.alg.p
+    sizes = module._part_sizes(d)
+    out = []
+
+    def build(remaining, max_size, chosen):
+        if remaining == 0:
+            lparts = tuple(sorted((s // p for s in chosen if s % p == 0), reverse=True))
+            iparts = tuple(sorted((((s + (p - s % p)) // p, p - s % p)
+                                   for s in chosen if s % p != 0), reverse=True))
+            out.append(PBWMonomial(lparts, iparts))
+            return
+        for s in sizes:
+            if s <= min(remaining, max_size):
+                build(remaining - s, s, chosen + (s,))
+
+    build(d, d if d else 1, ())
+    out.sort(reverse=True)
+    return out
 
 
 def act_gen(module, g, mono):
@@ -111,6 +143,46 @@ def singular_vectors(module, d):
         rows += block
     return [ModuleVector(module, {m: c for m, c in zip(basis, sol) if c})
             for sol in nullspace(rows, len(basis))] if basis else []
+
+
+def working_copy(rows):
+    """Mutable copy of rows: bare Fractions for a real matrix, Scalars otherwise."""
+    if all(type(v) is not Scalar or not v.im for row in rows for v in row):
+        return [[v.re if type(v) is Scalar else Fraction(v) if type(v) is int else v
+                 for v in row] for row in rows]
+    return [[scalar(v) for v in row] for row in rows]
+
+
+def row_reduce(rows, ncols):
+    """In-place reduced row echelon form of working_copy rows; returns the pivot columns.
+
+    Column c's pivot is its smallest nonzero entry below the rows already
+    reduced, the first such row on a tie.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        candidates = [k for k in range(r, len(rows)) if rows[k][c]]
+        if not candidates:
+            continue
+        pivot_row = min(candidates, key=lambda k: entry_size(rows[k][c]))
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        row = rows[r]
+        inv = 1 / row[c]
+        # entries left of c vanish, so an update touches the nonzero ones from c on
+        support = [j for j in range(c, ncols) if row[j]]
+        for j in support:
+            row[j] = row[j] * inv
+        for k, other in enumerate(rows):
+            f = other[c]
+            if k != r and f:
+                for j in support:
+                    other[j] = other[j] - f * row[j]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def kac_wall_inertia(psi, max_n):
@@ -281,7 +353,8 @@ def involution_axiom_report(alg, theta, lo=-4, hi=4):
 def theta_tilde_apply(module, theta, mono, vec):
     """Apply theta(f_k)...theta(f_1) for mono = f_1...f_k to a module vector."""
     out = vec
-    for f in mono.factors():
+    factors = [Gen(KIND_L, -n) for n in mono.lparts] + [Gen(KIND_I, -m, i) for m, i in mono.iparts]
+    for f in factors:
         g, c = theta.image_of(f)
         if out.is_zero():
             break

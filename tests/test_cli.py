@@ -162,17 +162,17 @@ def test_reducibility_split_brute_disagreement_exits_one(capsys, monkeypatch):
 def test_reducibility_complement_brute_disagreement_exits_one(capsys, monkeypatch):
     # a complex weight's singular counts come from psi's complement sector and
     # are cross-checked against the full module's
-    singular_vectors = VermaModule.singular_vectors
+    singular_count = VermaModule.singular_count
 
     def skewed(self, d):
-        out = singular_vectors(self, d)
-        return out + [None] if self.sector != Sector.full(self.alg.p) and d == 2 else out
+        out = singular_count(self, d)
+        return out + 1 if self.sector != Sector.full(self.alg.p) and d == 2 else out
 
     argv = ["reducibility", "--p", "2", "--l0", "1/2+i", "--c0", "1", "--c1", "1",
             "--max-level", "4"]
     code, out = run_cli(capsys, argv)
     assert code == 0 and json.loads(out)["crossCheck"] == {"agreement": True, "bruteMaxLevel": 2}
-    monkeypatch.setattr(VermaModule, "singular_vectors", skewed)
+    monkeypatch.setattr(VermaModule, "singular_count", skewed)
     code, out = run_cli(capsys, argv)
     report = json.loads(out)
     assert code == 1

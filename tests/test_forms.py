@@ -12,7 +12,7 @@ from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           reducibility_report, split_check_level, virasoro_module)
 from gapvir.oscillator import gap_weight_sum, shifted_weight
 from gapvir.scalars import Scalar, scalar
-from gapvir.verma import HighestWeight, Sector, VermaModule
+from gapvir.verma import HighestWeight, ModuleVector, Sector, VermaModule
 from reference import pairing
 
 
@@ -258,8 +258,8 @@ def test_contravariance_spot_check():
             src_basis = module.pbw_basis(src)
             if not src_basis:
                 continue
-            x = module.vector({m: Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
-                               for m in src_basis})
+            x = ModuleVector(module, {m: Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+                                      for m in src_basis})
             gh, ch = theta.image_of(g)
             for y_mono in y_basis:
                 y = module.basis_vector(y_mono)

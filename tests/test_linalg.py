@@ -1,11 +1,15 @@
-"""Both entry paths of linalg.nullspace and linalg.rank on rectangular matrices, and
-size-pivoted row reduction against the first-nonzero elimination."""
+"""linalg.nullspace and linalg.rank on real and Gaussian rectangular matrices,
+against the kernel and rank of the first-nonzero Fraction reduced row echelon
+form, and the growth of their fraction-free rows."""
 
+import math
 import random
 from fractions import Fraction
 
-from gapvir.linalg import entry_size, nullspace, rank, row_reduce, working_copy
-from gapvir.scalars import Scalar
+from gapvir import linalg
+from gapvir.linalg import entry_size, nullspace, rank
+from gapvir.scalars import Scalar, scalar
+from reference import row_reduce, working_copy
 
 UNIT = Scalar(Fraction(3, 5), Fraction(4, 5))
 
@@ -56,15 +60,14 @@ def test_nullspace_and_rank_on_both_entry_paths():
         if case % 2:
             continue
         # scaling rows by powers of a unit keeps the row space, so the reduced
-        # echelon form, but runs the Scalar path
+        # echelon form, but runs the Gaussian path
         scales = [UNIT ** rng.randint(1, 3) for _ in rows]
         scaled = [[s * v for v in row] for s, row in zip(scales, rows)]
         assert check_kernel(scaled, ncols) == basis
         assert rank(scaled, ncols) == rank(rows, ncols)
         assert pivot_columns(scaled, ncols) == pivot_columns(rows, ncols)
         if any(any(row) for row in rows):
-            assert isinstance(working_copy(scaled)[0][0], Scalar)
-            assert not isinstance(working_copy(rows)[0][0], Scalar)
+            assert linalg._echelon(scaled, ncols)[1] and not linalg._echelon(rows, ncols)[1]
     assert {(True, False), (False, True)} <= shapes
 
 
@@ -107,8 +110,21 @@ def sized_matrix(rng, complex_entries):
              for c in range(ncols)] for r in range(nrows)], ncols
 
 
+def rref_kernel(work, pivots, ncols):
+    """The kernel basis read off a reduced row echelon form with the given pivot columns."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Scalar.zero()] * ncols
+        vec[fc] = Scalar.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -scalar(work[r][fc])
+        basis.append(vec)
+    return basis
+
+
 def test_size_pivot_gives_the_first_nonzero_echelon_form():
-    # the reduced row echelon form is unique, whichever entry pivots
+    # the reduced row echelon form is unique, whichever entry pivots, and so
+    # is the kernel basis read off it
     rng = random.Random(6151)
     shapes = set()
     moved = 0
@@ -119,8 +135,9 @@ def test_size_pivot_gives_the_first_nonzero_echelon_form():
         column = [row[0] for row in work if row[0]]
         moved += bool(column) and entry_size(column[0]) > min(map(entry_size, column))
         reference = [list(row) for row in work]
-        assert row_reduce(work, ncols) == first_nonzero_row_reduce(reference, ncols)
-        assert work == reference
+        pivots = first_nonzero_row_reduce(reference, ncols)
+        assert row_reduce(work, ncols) == pivots and work == reference
+        assert nullspace(rows, ncols) == rref_kernel(reference, pivots, ncols)
     assert moved >= 10
     assert {(True, False, True), (False, True, True), (False, False, False)} <= shapes
 
@@ -130,3 +147,76 @@ def test_entry_size_counts_numerator_and_denominator_bits():
     assert entry_size(Scalar(Fraction(-5, 8))) == entry_size(Fraction(-5, 8))
     assert entry_size(Scalar(Fraction(3, 5), Fraction(-4, 5))) == (2 + 3) + (3 + 3)
     assert entry_size(Scalar(0, Fraction(1, 2))) == (0 + 1) + (1 + 2)
+
+
+def reference_rank(rows, ncols):
+    """Rank by the Fraction (or Scalar) reduced row echelon form."""
+    return len(first_nonzero_row_reduce(working_copy(rows), ncols))
+
+
+def typed_matrix(rng, kind):
+    """Tall, wide or square, rank <= k, zero rows now and then: ints, Fractions or Gaussians."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    k = rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        if kind == "int":
+            return rng.randint(-9, 9)
+        part = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 8, 25)))
+        if kind == "fraction":
+            return part
+        return Scalar(part, Fraction(rng.randint(-30, 30), rng.choice((1, 4, 7))))
+
+    left = [[entry() for _ in range(k)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum((left[r][t] * right[t][c] for t in range(k)), 0) for c in range(ncols)]
+            for r in range(nrows)]
+    for r in range(nrows):
+        if rng.random() < 0.2:
+            rows[r] = [0] * ncols
+    return rows, ncols
+
+
+def test_fraction_free_rank_matches_the_fraction_rref():
+    rng = random.Random("int-rank")
+    shapes, zero_rows = set(), set()
+    for case in range(240):
+        kind = ("int", "fraction", "gaussian")[case % 3]
+        rows, ncols = typed_matrix(rng, kind)
+        before = [list(row) for row in rows]
+        r = rank(rows, ncols)
+        assert r == reference_rank(rows, ncols), (kind, rows)
+        assert rows == before  # the input is not modified
+        if kind != "int":  # the same matrix with real or Gaussian Scalars, and with mixed rows
+            scalars = [[Scalar(v) if type(v) is not Scalar else v for v in row] for row in rows]
+            assert rank(scalars, ncols) == r
+            assert rank([row if k % 2 else scalars[k] for k, row in enumerate(rows)], ncols) == r
+        shapes.add((kind, len(rows) > ncols, len(rows) < ncols, r < min(len(rows), ncols)))
+        if not all(any(row) for row in rows):
+            zero_rows.add(kind)
+    assert zero_rows == {"int", "fraction", "gaussian"}
+    for kind in zero_rows:
+        assert {(kind, True, False, True), (kind, False, True, True)} <= shapes, kind
+        assert any(shape[0] == kind and not shape[3] for shape in shapes), kind
+    assert rank([], 3) == 0 and rank([[0, 0]], 2) == 0 and rank([[0, 5]], 2) == 1
+
+
+def test_rank_rows_stay_primitive(monkeypatch):
+    # without the gcd a row would grow by its pivot's size at every step, to
+    # thousands of bits here; a primitive row divides a vector of minors
+    rng = random.Random("primitive-rank")
+    rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+    hadamard = 1
+    for row in rows:
+        hadamard *= math.isqrt(sum(v * v for v in row)) + 1
+    sizes = []
+    primitive = linalg.primitive
+
+    def recorded(row, gaussian):
+        out = primitive(row, gaussian)
+        sizes.append(max(abs(v).bit_length() for v in out[0]))
+        return out
+
+    monkeypatch.setattr(linalg, "primitive", recorded)
+    assert rank(rows, 10) == reference_rank(rows, 10) == 10
+    assert len(sizes) >= 10 and max(sizes) <= hadamard.bit_length()

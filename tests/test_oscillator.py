@@ -9,7 +9,7 @@ from gapvir.errors import ConfigError
 from gapvir.oscillator import (OscillatorModule, gap_weight_sum, shifted_weight,
                                sugawara_sum, virasoro_relation_check)
 from gapvir.scalars import Scalar, scalar
-from gapvir.verma import HighestWeight
+from gapvir.verma import HighestWeight, ModuleVector
 
 
 def mixed_relation_check(alg, hw, m, n, i, max_level, osc=None):
@@ -98,8 +98,8 @@ def test_memoized_sugawara_l_matches_the_direct_mode_sum():
         for _ in range(12):
             d = rng.randint(0, 7)
             basis = [m for e in range(d + 1) for m in osc.fock.pbw_basis(e)]
-            vec = osc.fock.vector({m: Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
-                                   for m in rng.sample(basis, min(4, len(basis)))})
+            vec = ModuleVector(osc.fock, {m: Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                                          for m in rng.sample(basis, min(4, len(basis)))})
             for n in range(-3, 4):
                 direct = sugawara_sum(osc.fock, osc.j_set, hw.c_value, n, vec)
                 if n == 0:

@@ -6,10 +6,10 @@ import pytest
 
 from gapvir.algebra import GapVirasoro
 from gapvir.errors import ConfigError
-from gapvir.linalg import row_reduce
 from gapvir.scalars import ONE, Scalar, scalar
 from gapvir.verma import (EMPTY_MONOMIAL, HighestWeight, PBWMonomial, Sector,
                           VermaModule, partition_count)
+from reference import gen_element, row_reduce
 
 
 def commutator_defect(module, g1, g2, vec):
@@ -109,10 +109,10 @@ def test_raising_set_generates_raising_part():
             return row
 
         def element_of(row):
-            return sum((c * alg.gen_element(g) for g, c in zip(labels, row) if c),
-                       alg.gen_element(alg.L(1), 0))
+            return sum((c * gen_element(alg, g) for g, c in zip(labels, row) if c),
+                       gen_element(alg, alg.L(1), 0))
 
-        seeds = [alg.gen_element(g) for g in
+        seeds = [gen_element(alg, g) for g in
                  [alg.L(1), alg.L(2)] + [alg.I(0, i) for i in range(1, p)]]
         rows = [coords(x) for x in seeds]
         row_reduce(rows, len(labels))
@@ -135,7 +135,7 @@ def test_raising_set_generates_raising_part():
         targets = [alg.L(n) for n in range(1, 7)]
         targets += [alg.I(n, i) for n in range(0, 5) for i in range(1, p)]
         for t in targets:
-            assert in_span(coords(alg.gen_element(t))), t
+            assert in_span(coords(gen_element(alg, t))), t
 
 
 def test_singular_vector_examples():
