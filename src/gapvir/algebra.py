@@ -114,7 +114,7 @@ class Combination:
         for k in self._ordered_keys():
             c = self.terms[k]
             cs = str(c)
-            if c.im:
+            if not c.is_real():
                 cs = "(%s)" % cs  # keep the coefficient's "*i" out of the term grammar
             parts.append("%s*%s" % (cs, k))
         return " + ".join(parts)
@@ -266,19 +266,17 @@ class GapVirasoro:
             out = []
             if m != n:
                 out.append((self.L(m + n), Scalar(m - n)))
-            if m + n == 0:
-                c = Fraction(m ** 3 - m, 12)
-                if c:
-                    out.append((self.C(0), Scalar(c)))
+            if m + n == 0 and m ** 3 != m:
+                out.append((self.C(0), Scalar(m ** 3 - m, 0, 12)))
             return out
         if a.kind != b.kind:
             # [L_m, I_n^i] = -(n + i/p) I_{m+n}^i = -[I_n^i, L_m]; n + i/p is never 0
             heis = b if a.kind == KIND_L else a
-            coeff = Fraction(heis.n * p + heis.i, p)
-            return [(self.I(a.n + b.n, heis.i), Scalar(-coeff if heis is b else coeff))]
+            coeff = heis.n * p + heis.i
+            return [(self.I(a.n + b.n, heis.i), Scalar(-coeff if heis is b else coeff, 0, p))]
         # I with I: needs i+j = p and m+n+1 = 0
         if a.i + b.i == p and a.n + b.n + 1 == 0:
-            return [(self.C(a.i), Scalar(Fraction(a.n * p + a.i, p)))]
+            return [(self.C(a.i), Scalar(a.n * p + a.i, 0, p))]
         return []
 
     def bracket(self, x, y):
@@ -405,7 +403,7 @@ def sample_involution(alg, rng, kind):
             b = rng.randint(-4, 4)
             if a or b:
                 n = a * a + b * b
-                return Scalar(Fraction(a * a - b * b, n), Fraction(2 * a * b, n))
+                return Scalar(a * a - b * b, 2 * a * b, n)
 
     if kind == "plus":
         beta = [None] * (p - 1)

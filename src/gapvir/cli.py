@@ -21,7 +21,6 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .algebra import (AntiInvolution, GapVirasoro, involution_axiom_report,
@@ -370,7 +369,7 @@ def _cmd_classify(args):
 def _cmd_kac_scan(args):
     c_values = [_parsed("--central", tok, scalar) for tok in args.central.split(",")]
     num, den = args.grid
-    h_values = [Scalar(Fraction(k, den)) for k in range(num + 1)]
+    h_values = [Scalar(k, 0, den) for k in range(num + 1)]
     report = kac_scan(args.alg, c_values, h_values, args.max_level, args.max_ab)
     report.update({
         "config": _config_echo(args, {"central": args.central, "grid": "%d/%d" % args.grid,

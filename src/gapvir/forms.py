@@ -79,7 +79,7 @@ from .algebra import AntiInvolution
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import cleared, primitive
 from .oscillator import shifted_weight, virasoro_weight
-from .scalars import ZERO, Scalar, scalar, sign_of_real
+from .scalars import ZERO, Scalar, int_parts, scalar, sign_of_real
 from .verma import Sector, VermaModule, partition_count
 
 PD = "positive-definite"
@@ -103,10 +103,10 @@ class GramMatrix:
     def entries(self):
         if self.module is None:
             return self.rows
-        lengths = [m.length() for m in self.basis]
-        unscaled = self.module.unscaled
-        return [[scalar(unscaled(e, -la - lb)) if e else ZERO for lb, e in zip(lengths, row)]
-                for la, row in zip(lengths, self.rows)]
+        powers = [self.module.scale ** m.length() for m in self.basis]
+        return [[Scalar(a, b, d * ka * kb) if a or b else ZERO
+                 for kb, (a, b, d) in zip(powers, map(int_parts, row))]
+                for ka, row in zip(powers, self.rows)]
 
     def dim(self):
         return len(self.basis)
@@ -172,8 +172,8 @@ def _gram_level(module, theta, levels, images):
     for f, cols in by_lead.items():
         if f not in images:
             g, c = theta.image_of(f)
-            if not c.im:  # an int c keeps int rows int
-                c = c.re.numerator if c.re.denominator == 1 else c.re
+            if int_parts(c)[1:] == (0, 1):  # an int c keeps int rows int
+                c = int_parts(c)[0]
             images[f] = g, c
         g, c = images[f]
         lower_level = cols[0][1].plevel(p)
@@ -198,7 +198,7 @@ def definiteness(g):
     """Exact definiteness verdict for a Hermitian Gram matrix, by the module docstring's LDL*."""
     if not g.is_hermitian():
         raise GramIntegrityError("gram matrix is not Hermitian")
-    gaussian = any(type(v) is Scalar and v.im for row in g.rows for v in row)
+    gaussian = any(type(v) is Scalar and int_parts(v)[1] for row in g.rows for v in row)
     # a[r] is a positive multiple of row r of the Schur complement of rows;
     # a[r][r] is s[r] times G's own Schur diagonal; idx[r] is position r's basis index
     a, s = [], []
@@ -271,7 +271,7 @@ def _pivot_size(v, s):
 
 def _integer(v):
     """An int, or a real Gaussian integer as an int."""
-    return v.re.numerator if type(v) is Scalar else v
+    return int_parts(v)[0] if type(v) is Scalar else v
 
 
 def verdict_kind(inertia):
@@ -410,14 +410,13 @@ def split_check_level(p, max_level):
 
 def kac_factor(h, c, a, b):
     """The linear Kac factor h + (a^2-1)(c-13)/24 + (ab-1)/2 at (a, b)."""
-    return (scalar(h) + Scalar(Fraction(a * a - 1, 24)) * (scalar(c) - 13)
-            + Scalar(Fraction(a * b - 1, 2)))
+    return scalar(h) + Scalar(a * a - 1, 0, 24) * (scalar(c) - 13) + Scalar(a * b - 1, 0, 2)
 
 
 def phi_virasoro(h, c, a, b):
     """Exact value of the degree-two Gram factor for the Virasoro sub-case."""
     return (kac_factor(h, c, a, b) * kac_factor(h, c, b, a)
-            + Scalar(Fraction((a * a - b * b) ** 2, 16)))
+            + Scalar((a * a - b * b) ** 2, 0, 16))
 
 
 def kac_zeros(h, c, max_ab):

@@ -20,11 +20,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, int_parts, scalar
 
 
-def _bits(q):
-    return q.numerator.bit_length() + q.denominator.bit_length()
+def _bits(x, d):
+    g = gcd(x, d)
+    return (x // g).bit_length() + (d // g).bit_length()
 
 
 def entry_size(v):
@@ -33,27 +34,28 @@ def entry_size(v):
     Fraction)."""
     if type(v) is int:
         return v.bit_length()
-    if type(v) is Fraction:
-        return _bits(v)
-    return _bits(v.re) + _bits(v.im) if v.im else _bits(v.re)
+    a, b, d = int_parts(v)
+    return _bits(a, d) + _bits(b, d) if b else _bits(a, d)
 
 
 def cleared(row, gaussian):
     """row times the lcm den of its denominators, and den: ints, or Scalars if gaussian."""
     if not gaussian and set(map(type, row)) <= {int}:
         return list(row), 1
-    den = lcm(*(q.denominator for v in row
-                for q in ((v.re, v.im) if type(v) is Scalar else (v,))))
+    split = list(map(int_parts, row))
+    den = lcm(*(d for _, _, d in split))
     if gaussian:
-        return [scalar(v) * den if den > 1 else scalar(v) for v in row], den
-    return [((v.re if type(v) is Scalar else v) * den).numerator for v in row], den
+        return ([Scalar(a * (den // d), b * (den // d)) for a, b, d in split] if den > 1
+                else list(map(scalar, row))), den
+    return [a * (den // d) for a, _, d in split], den
 
 
 def primitive(row, gaussian):
     """row divided by the positive gcd c of its integer parts, and c (0 for a zero row)."""
     if gaussian:
-        c = gcd(*(q.numerator for v in row for q in (v.re, v.im)))
-        return ([Scalar(v.re / c, v.im / c) for v in row] if c > 1 else row), c
+        split = list(map(int_parts, row))
+        c = gcd(*(x for a, b, _ in split for x in (a, b)))
+        return ([Scalar(a // c, b // c) for a, b, _ in split] if c > 1 else row), c
     c = gcd(*row)
     return ([v // c for v in row] if c > 1 else row), c
 
@@ -63,7 +65,7 @@ def _echelon(rows, ncols):
     matrix is Gaussian."""
     rows = [dict(filter(itemgetter(1), row.items() if type(row) is dict else enumerate(row)))
             for row in rows]
-    gaussian = any(type(v) is Scalar and v.im for row in rows for v in row.values())
+    gaussian = any(type(v) is Scalar and int_parts(v)[1] for row in rows for v in row.values())
     live = [dict(zip(row, cleared(list(row.values()), gaussian)[0])) for row in rows if row]
     pivots = {}  # column -> pivot row {column: nonzero entry}
     for c in range(ncols):

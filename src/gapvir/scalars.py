@@ -1,9 +1,11 @@
 """Exact Gaussian-rational arithmetic.
 
-Every coefficient in this package is a Scalar: a complex number a + b*i with
-a, b arbitrary-precision rationals.  All verdicts downstream (Gram
-definiteness, unitarity, reducibility) reduce to exact sign checks on these,
-so there is no floating point anywhere.
+Every coefficient in this package is a Scalar: a complex number (a + b*i)/d
+with a, b, d Python ints, d > 0 and gcd(a, b, d) = 1, so each value has one
+representation.  All verdicts downstream (Gram definiteness, unitarity,
+reducibility) reduce to exact sign checks on these, so there is no floating
+point anywhere.  Arithmetic runs on the ints with one gcd per result, and
+int_parts() is how other modules read them.
 
 The text form is "p/q+r/s*i" with both components reduced; zero parts may be
 omitted ("3/5", "-2*i", "0").  Unit-modulus values are represented at
@@ -12,6 +14,7 @@ Pythagorean points such as 3/5+4/5*i, which keeps modulus checks exact.
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotRealError, ScalarParseError
 
@@ -21,31 +24,37 @@ _TERM_RE = re.compile(
 )
 
 
-def _fmt_rational(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
-_Q0 = Fraction(0)  # the one zero imaginary part shared by real results
+def _fmt(x, d):
+    """x/d in lowest terms, without a denominator of 1."""
+    g = gcd(x, d)
+    return "%d" % (x // g) if g == d else "%d/%d" % (x // g, d // g)
 
 
 class Scalar:
-    """Immutable element of the Gaussian rationals Q(i).
+    """Immutable element of the Gaussian rationals Q(i), stored as (a + b*i)/d.
 
-    ``__init__`` is the only constructor.  It keeps a part that is already a
-    Fraction as it is, and the arithmetic skips the imaginary parts when both
-    operands are real.
+    ``__init__`` is the only constructor.  Scalar(re, im) takes ints or
+    Fractions; Scalar(a, b, den) takes ints and reduces (a + b*i)/den, and a
+    den that is not positive raises.  ``re`` and ``im`` are the parts as
+    Fractions.  Nothing writes the slots after ``__init__``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=_Q0, im=_Q0):
-        _set_re(self, re if type(re) is Fraction else Fraction(re))
-        _set_im(self, im if type(im) is Fraction else Fraction(im))
+    def __init__(self, re=0, im=0, den=1):
+        if den != 1:
+            if den <= 0:
+                raise ValueError("Scalar denominator %d is not positive" % den)
+            g = gcd(re, im, den)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        elif type(re) is not int or type(im) is not int:  # Fractions: this den leaves gcd 1
+            den = lcm(re.denominator, im.denominator)
+            re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        self._a, self._b, self._d = re, im, den
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    re = property(lambda self: Fraction(self._a, self._d), doc="The real part, a Fraction.")
+    im = property(lambda self: Fraction(self._b, self._d), doc="The imaginary part, a Fraction.")
 
     # -- constructors -------------------------------------------------
 
@@ -107,121 +116,109 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return Scalar(self.re + o.re)
-        return Scalar(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:  # one denominator: no products
+            return Scalar(self._a + sign * o._a, self._b + sign * o._b, d)
+        return Scalar(self._a * e + sign * o._a * d, self._b * e + sign * o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is Scalar else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.im and not o.im:
-            return Scalar(self.re - o.re)
-        return Scalar(self.re - o.re, self.im - o.im)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return Scalar(self.re * o.re)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        if not b and not e:
+            return Scalar(a * c, 0, self._d * o._d)
+        return Scalar(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is None else self * o.inv()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return NotImplemented if o is None else o * self.inv()
 
     def __neg__(self):
-        if not self.im:
-            return Scalar(-self.re)
-        return Scalar(-self.re, -self.im)
+        return Scalar(-self._a, -self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if not self.im and (n >= 0 or self.re):  # one Fraction power; 0^-n goes to inv()
-            return Scalar(self.re ** n)
-        base = self if n >= 0 else self.inv()
-        out = Scalar.one()
+        a, d = self._a, self._d
+        if not self._b and (n >= 0 or a):  # a real base: one power of each part; 0^-n: inv()
+            a, d = (a, d) if n >= 0 else (d, a) if a > 0 else (-d, -a)
+            return Scalar(a ** abs(n), 0, d ** abs(n))
+        base, out = self if n >= 0 else self.inv(), ONE
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def conj(self):
-        if not self.im:
+        if not self._b:
             return self
-        return Scalar(self.re, -self.im)
+        return Scalar(self._a, -self._b, self._d)
 
     def inv(self):
-        n = self.norm2()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.re / n, -self.im / n)
+        return Scalar(d * a, -d * b, n)
 
     def norm2(self):
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self):
-        return not self.im
+        return not self._b
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """A real value hashes as the equal int or Fraction does."""
+        return hash((self._a, self._b, self._d)) if self._b else hash(Fraction(self._a, self._d))
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if not self.im:
-            return _fmt_rational(self.re)
-        imag = _fmt_rational(abs(self.im)) + "*i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return _fmt_rational(self.re) + sign + imag
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _fmt(a, d)
+        imag = _fmt(abs(b), d) + "*i"
+        if not a:
+            return imag if b > 0 else "-" + imag
+        return _fmt(a, d) + ("+" if b > 0 else "-") + imag
 
     def __repr__(self):
         return "Scalar(%r)" % str(self)
 
-
-_set_re = Scalar.re.__set__
-_set_im = Scalar.im.__set__
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
@@ -238,12 +235,17 @@ def scalar(value):
     raise ScalarParseError("cannot coerce %r to a scalar" % (value,))
 
 
+def int_parts(v):
+    """(a, b, d) with v = (a + b*i)/d and d > 0, for a Scalar (then gcd(a, b, d) = 1), an int
+    or a Fraction: the one reader of a Scalar's ints outside this module."""
+    if type(v) is Scalar:
+        return v._a, v._b, v._d
+    return v.numerator, 0, v.denominator
+
+
 def sign_of_real(x):
     """Sign (-1, 0, +1) of a real scalar; raises NotRealError otherwise."""
-    if x.im:
+    a, b, _ = int_parts(x)
+    if b:
         raise NotRealError("scalar %s is not real" % x)
-    if x.re > 0:
-        return 1
-    if x.re < 0:
-        return -1
-    return 0
+    return (a > 0) - (a < 0)

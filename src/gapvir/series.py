@@ -15,10 +15,11 @@ for any other convention.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ZERO, Scalar, int_parts, scalar
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,11 @@ class SeriesModule:
         if self.violations and not allow_invalid:
             raise ConfigError("invalid F matrix: %s" % self.violations[0])
         self.columns = f.col_set()
-        # a + j/p for each column j, the L-action's shift there
-        self._shifts = {j: self.a + Scalar(Fraction(j, alg.p)) for j in self.columns}
+        # the L-action's terms on one denominator den: a + j/p at each column j, and b
+        (a0, a1, ad), (b0, b1, bd) = int_parts(self.a), int_parts(self.b)
+        den = lcm(alg.p * ad, bd)
+        self._shifts = {j: (a0 * den // ad + j * den // alg.p, a1 * den // ad) for j in self.columns}
+        self._l_terms = den, b0 * den // bd, b1 * den // bd
 
     def act_basis(self, g, k, j):
         """Image of the basis vector at (k, j): a (coefficient, target) pair."""
@@ -98,10 +102,9 @@ class SeriesModule:
             raise ConfigError("column %d is not in col(F)" % j)
         if g.kind == KIND_C:
             return ZERO, None
-        if g.kind == KIND_L:
-            b = self.b
-            coeff = Scalar(-(shift.re + k + b.re * g.n), -(shift.im + b.im * g.n))
-            return coeff, (g.n + k, j)
+        if g.kind == KIND_L:  # -(a + j/p + k + b n)
+            den, b0, b1 = self._l_terms
+            return Scalar(-shift[0] - k * den - b0 * g.n, -shift[1] - b1 * g.n, den), (g.n + k, j)
         coeff = self.f.entry(g.i, j)
         if not coeff:
             return ZERO, None
@@ -118,6 +121,14 @@ class SeriesModule:
                 add_term(out, target, val)
         return out
 
+    def image_table(self):
+        """A new memo image(g, v): g v as a (coefficient, target) pair, None when zero."""
+        @cache
+        def image(g, v):
+            coeff, target = self.act_basis(g, *v)
+            return (coeff, target) if target is not None and coeff else None
+        return image
+
     def axiom_check(self, window):
         """Bracket action equals commutator of actions on a finite window.
 
@@ -129,12 +140,7 @@ class SeriesModule:
         """
         alg = self.alg
         gens = alg.basis_window(-window, window)
-
-        @cache
-        def image(g, v):
-            """g v as a (coefficient, target) pair, or None when it is zero."""
-            coeff, target = self.act_basis(g, *v)
-            return (coeff, target) if target is not None and coeff else None
+        image = self.image_table()
 
         def twice(g1, g2, v):
             """g2 g1 v, as image gives it."""
@@ -167,7 +173,8 @@ class SeriesModule:
 def delta_form_contravariant(module, beta, window):
     """Check <g u, w> = <u, theta(g) w> for the orthonormal delta form.
 
-    theta(g) w is computed once per (g, w); every pair (u, w) is compared.
+    g u and theta(g) w are read from one image_table, as in axiom_check; every
+    pair (u, w) is compared.
     """
     alg = module.alg
     theta = AntiInvolution.plus(alg.p, 1, beta)
@@ -175,13 +182,15 @@ def delta_form_contravariant(module, beta, window):
     gens += [alg.I(n, i) for n in range(-window, window + 1)
              for i in range(1, alg.p)]
     basis = [(k, j) for k in range(-window, window + 1) for j in module.columns]
+    image = module.image_table()
     for g in gens:
         gh, ch = theta.image_of(g)
-        backs = [module.act_vector(gh, {w: ch}) for w in basis]
+        backs = [image(gh, w) for w in basis]
         for u in basis:
-            img = module.act_vector(g, {u: ONE})
+            img = image(g, u)
             for w, back in zip(basis, backs):
-                if img.get(w, ZERO) != back.get(u, ZERO).conj():
+                lhs = img[0] if img and img[1] == w else ZERO
+                if lhs != ((ch * back[0]).conj() if back and back[1] == u else ZERO):
                     return False
     return True
 

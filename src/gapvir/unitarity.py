@@ -68,7 +68,7 @@ def discrete_series(p, j_set, m):
     points = []
     for r in range(m):
         for s in range(r + 1, m):
-            l0 = base_l0 + Scalar(Fraction((m * r + s) ** 2 - 1, 4 * n))
+            l0 = base_l0 + Scalar((m * r + s) ** 2 - 1, 0, 4 * n)
             points.append({"m": m, "r": r, "s": s, "c0": c0, "l0": l0})
     return points
 

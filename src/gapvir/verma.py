@@ -37,13 +37,12 @@ column factors only.
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
 from .errors import ConfigError, ScalarParseError
 from .linalg import nullspace, rank
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, Scalar, int_parts, scalar
 
 
 class PBWMonomial(namedtuple("PBWMonomial", "lparts iparts", defaults=((), ()))):
@@ -220,7 +219,7 @@ class VermaModule:
         self.alg = alg
         self.hw = hw
         self.sector = sector if sector is not None else Sector.full(alg.p)
-        self.scale = lcm(2 * alg.p, *(q.denominator for v in (hw.l0,) + hw.c for q in (v.re, v.im)))
+        self.scale = lcm(2 * alg.p, *(int_parts(v)[2] for v in (hw.l0,) + hw.c))
         self._k_l0, *self._k_c = (self._scaled(v) for v in (hw.l0,) + hw.c)
         self._act_cache = {}
         self._bracket_cache = {}  # K-scaled brackets [(h, K s)] by (g, leading factor)
@@ -286,14 +285,15 @@ class VermaModule:
 
     def _scaled(self, v):
         """K v for a weight value or structure constant v: an int when v is real."""
-        return v * self.scale if v.im else v.re.numerator * (self.scale // v.re.denominator)
+        a, b, d = int_parts(v)
+        k = self.scale // d
+        return Scalar(a * k, b * k) if b else a * k
 
     def unscaled(self, c, e):
-        """c K^e: with e = |z| - |x| - 1, act_gen(g, x)[z] back in the unscaled basis."""
+        """The Scalar c K^e: with e = |z| - |x| - 1, act_gen(g, x)[z] in the unscaled basis."""
         k = self.scale ** abs(e)
-        if e >= 0:
-            return c * k
-        return Fraction(c, k) if type(c) is int else c * Fraction(1, k)
+        a, b, d = int_parts(c)
+        return Scalar(a * k, b * k, d) if e >= 0 else Scalar(a, b, d * k)
 
     def act(self, g, vec):
         """Action of a basis generator on a module vector."""

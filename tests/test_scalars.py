@@ -218,6 +218,16 @@ def test_equal_values_hash_equal():
         assert all(z == group[0] for z in group)
 
 
+def test_real_scalars_hash_as_the_equal_number():
+    half = Fraction(1, 2)
+    assert Scalar(3) == 3 and Scalar(half) == half
+    assert len({Scalar(3), 3}) == 1 and len({Scalar(half), half}) == 1
+    assert 3 in {Scalar(3): 1} and half in {Scalar(half): 1}
+    assert Scalar(3) in {3: 1} and Scalar(half) in {half: 1}
+    for value in (0, -7, 2 ** 80, Fraction(-5, 12), Fraction(1, 2 ** 80)):
+        assert hash(Scalar(value)) == hash(value) == hash(Scalar(value) + 0)
+
+
 def test_scalar_is_immutable():
     z = Scalar(1, 2)
     for name, value in (("re", Fraction(5)), ("im", Fraction(0)), ("other", 1)):
