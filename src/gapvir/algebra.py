@@ -258,26 +258,7 @@ class GapVirasoro:
 
     def bracket_gens(self, a, b):
         """[a, b] for basis labels, as a list of (Gen, Scalar) terms."""
-        p = self.p
-        if a.kind == KIND_C or b.kind == KIND_C:
-            return []
-        if a.kind == KIND_L and b.kind == KIND_L:
-            m, n = a.n, b.n
-            out = []
-            if m != n:
-                out.append((self.L(m + n), Scalar(m - n)))
-            if m + n == 0 and m ** 3 != m:
-                out.append((self.C(0), Scalar(m ** 3 - m, 0, 12)))
-            return out
-        if a.kind != b.kind:
-            # [L_m, I_n^i] = -(n + i/p) I_{m+n}^i = -[I_n^i, L_m]; n + i/p is never 0
-            heis = b if a.kind == KIND_L else a
-            coeff = heis.n * p + heis.i
-            return [(self.I(a.n + b.n, heis.i), Scalar(-coeff if heis is b else coeff, 0, p))]
-        # I with I: needs i+j = p and m+n+1 = 0
-        if a.i + b.i == p and a.n + b.n + 1 == 0:
-            return [(self.C(a.i), Scalar(a.n * p + a.i, 0, p))]
-        return []
+        return [(h, Scalar(c, 0, 2 * self.p)) for h, c in bracket_scaled(self.p, a, b)]
 
     def bracket(self, x, y):
         """Bilinear extension of the basis relations."""
@@ -322,6 +303,29 @@ class GapVirasoro:
         if len(idx) != 1:
             raise ConfigError("C takes one index: %r" % chunk)
         return self.C(idx[0]), c
+
+
+def bracket_scaled(p, a, b):
+    """[a, b] of basis labels as (Gen, 2p s) terms, ints: the one source of the constants."""
+    if a.kind == KIND_C or b.kind == KIND_C:
+        return []
+    if a.kind == KIND_L and b.kind == KIND_L:
+        m, n = a.n, b.n
+        out = []
+        if m != n:
+            out.append((Gen(KIND_L, m + n), 2 * p * (m - n)))
+        if m + n == 0 and m ** 3 != m:  # 6 divides m^3 - m
+            out.append((Gen(KIND_C, 0), p * (m ** 3 - m) // 6))
+        return out
+    if a.kind != b.kind:
+        # [L_m, I_n^i] = -(n + i/p) I_{m+n}^i = -[I_n^i, L_m]; n + i/p is never 0
+        heis = b if a.kind == KIND_L else a
+        coeff = 2 * (heis.n * p + heis.i)
+        return [(Gen(KIND_I, a.n + b.n, heis.i), -coeff if heis is b else coeff)]
+    # I with I: needs i+j = p and m+n+1 = 0
+    if a.i + b.i == p and a.n + b.n + 1 == 0:
+        return [(Gen(KIND_C, min(a.i, p - a.i)), 2 * (a.n * p + a.i))]
+    return []
 
 
 def _bracket_terms(bracket_gens, x, y):

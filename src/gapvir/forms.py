@@ -1,77 +1,67 @@
 """Contravariant Gram forms on Verma levels and exact definiteness verdicts.
 
-The form is fixed by contravariance <x u, w> = <u, theta(x) w> and the
-normalization <v, v> = 1 on the highest weight vector, for a plus-type
-anti-involution theta.  Products are reversed when theta is extended to
-monomials, so the entry at (x, y) is the coefficient of the highest weight
-vector in theta(f_k)...theta(f_1) x v, where y = f_1...f_k.  The form is
-linear in its first slot and conjugate-linear in its second.
-
-Levels are assembled recursively (Shapovalov style).  With y = f y',
-(g, c) = theta(f) and d' the p-level of y', the column of G_d at y is
-c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d' basis z, for
-each x in the level-d basis: associativity of the definition above, so each
-entry equals its per-entry value exactly.  Every level below d is built once
-and cached on the module, by theta and then level; the tests keep the
-per-entry route as the independent reference.
-
-The recursion runs on verma's rescaled monomials x' = K^|x| x, so the cached
-rows are G' = D G D, D = diag(K^|x|): ints for a real weight and theta
-coefficients +-1 (alpha = 1, beta = +-1).  A positive diagonal congruence
-keeps hermiticity, inertia and kernel dimension (Sylvester's law); gram
-returns both, and converts G' to G only when a report reads its entries.
+The form is fixed by contravariance <x u, w> = <u, theta(x) w> and
+<v, v> = 1 on the highest weight vector, for a plus-type anti-involution
+theta; it is linear in its first slot and conjugate-linear in its second,
+and its entry at (x, y), y = f_1...f_k, is the coefficient of v in
+theta(f_k)...theta(f_1) x v.  Levels are assembled recursively (Shapovalov
+style): with y = f y', (g, c) = theta(f) and d' the p-level of y', the column
+of G_d at y is c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d'
+basis z, for each x of level d, by associativity.  Every level below d is
+built once and cached on the module, by theta and then level; the tests
+keep the per-entry route as the independent reference.  The recursion runs
+on verma's rescaled monomials x' = K^|x| x, so the cached rows are
+G' = D G D, D = diag(K^|x|): ints for a real weight and theta coefficients
++-1.  A positive diagonal congruence keeps hermiticity, inertia and kernel
+dimension (Sylvester's law); gram converts G' to G only when a report reads
+its entries.
 
 Definiteness is decided by LDL* with complete symmetric pivoting: the
 nonzero diagonal entry of fewest bits (linalg.entry_size) goes first, the
 lowest index on a tie.  When every remaining diagonal entry vanishes but an
 off-diagonal one does not, the first such pair (i, j), i < j, gives a 2x2
-principal block [[0,g],[g*,0]] that contributes one positive and one
-negative inertia count; leading principal minors alone would misclassify
-such matrices.  Sylvester's law then turns the exact pivot signs into an
-exact inertia triple, hence an exact verdict.  The elimination runs on G'
-itself, fraction-free on linalg.cleared rows: a pivot d sets row r to
-|d| row_r - sgn(d) a_rb row_b, a 2x2 block to a_ij a_ji row_r - a_ri a_ij
-row_j - a_rj a_ji row_i, and linalg.primitive divides out the row's gcd.
-Each step scales a row of the Schur complement by a positive number, so no
-later pivot changes sign; rows scaled apart are not symmetric, so full rows
-are kept.  The pivot rule reads a[k][k] / s_k, the diagonal of G's own
-Schur complement: s_k is K^(2|x_k|) times the row's clearing denominator and
-later multipliers over its gcds.  So pivots, witness and inertia are those
-of the LDL* on G.
-verdict_kind is the one rule from an inertia triple to a verdict.
+principal block [[0,g],[g*,0]] with one positive and one negative inertia
+count, which leading principal minors alone would miss.  Sylvester's law
+turns the exact pivot signs into an exact inertia triple (verdict_kind).
+The elimination runs on G' itself, fraction-free on linalg.cleared rows: a
+pivot d sets row r to |d| row_r - sgn(d) a_rb row_b, a 2x2 block to
+a_ij a_ji row_r - a_ri a_ij row_j - a_rj a_ji row_i, and linalg.primitive
+divides out the row's gcd.  Each step scales a row of the Schur complement
+by a positive number, so no later pivot changes sign; full rows are kept,
+since rows scaled apart are not symmetric.  The pivot rule reads
+a[k][k] / s_k, the diagonal of G's own Schur complement: s_k, a reduced pair
+of ints, is K^(2|x_k|) times the row's clearing denominator and later
+multipliers over its gcds.  So pivots, witness and inertia are the LDL*'s on G.
 
-split_inertia reaches the same triples without the full Gram matrix.  For a
-real weight and real beta the module splits as Fock(J) (x) Virasoro(psi),
-psi = shifted_weight(hw), and the form is the product of the two factors'
-forms; monomials with an I^i factor, i not in J, lie in the radical, since
-their brackets end in C_i = 0.  The Fock form is diagonal on monomials, so
-its inertia is a count by sign (fock_sign_counts).  The Virasoro sector's
-levels are the multiples of p; kac_wall_inertia decides those where psi lies
-on one side of every Kac wall, and only the others run an LDL*.
+split_inertia reaches the same triples without the full Gram matrix: for a
+real weight and real beta the form is that of Fock(J) (x) Virasoro(psi),
+psi = shifted_weight(hw); a monomial with an I^i factor, i not in J, lies in
+the radical (its brackets end in C_i = 0).  The Fock form is diagonal, so its
+inertia is a count by sign (fock_sign_counts); kac_wall_inertia decides the
+Virasoro levels (multiples of p) where psi is off every Kac wall, and only
+the others run an LDL*.
 
 reducibility_report decides every weight on the full sector by the split.
 J is symmetric, so [I^j, I^i] = 0 for j in J and i not in J: the
 Sugawara-shifted L commutes with Fock(J), and the module is Fock(J) (x)
 M_rest(psi), M_rest the Verma module of psi's complement sector (L and the
-I^i with i not in J; the Virasoro sector when J is full).  Fock(J) is
-irreducible, so the singular count at every level is that of M_rest(psi);
-this needs no real weight.  A singular count is VermaModule.singular_count,
-the level's dimension less the exact integer rank of the K-scaled raising
-rows; no singular vector is built.  For a real weight, gramKernel and verdict
-come from split_inertia; a complex weight has no Gram fields.  The brute
-routes (the full Gram matrix, the full module's singular count) re-derive
-the levels up to split_check_level: those whose full dimension is at most the
-largest Virasoro-sector dimension the split used.  crossCheck records
-whether the routes agree (singular counts alone for a complex weight); the
-CLI exits 1 when they do not.  The restricted sectors stay brute.
+I^i with i not in J).  Fock(J) is irreducible, so the singular count at every
+level, VermaModule.singular_count (the level's dimension less the integer
+rank of the K-scaled raising rows), is that of M_rest(psi), for any weight.
+For a real weight, gramKernel and verdict come from split_inertia; a complex
+weight has no Gram fields.  The brute routes (the full Gram matrix, the full
+module's singular count) re-derive the levels up to split_check_level, and
+crossCheck records whether the routes agree (singular counts alone for a
+complex weight); the CLI exits 1 when they do not.  The restricted sectors
+stay brute.
 
 The closed forms are Virasoro statements: phi_virasoro is built from two
-kac_factor values, and kac_zeros is the one scan for its zeros, run at (h, c)
-by kac_scan and at psi, the gap-p criterion by the split, by phiCriterion.
+kac_factor values.  kac_zeros scans for its zeros, run at (h, c) by kac_scan
+and at psi by phiCriterion, on ints through _kac_walls for a real weight, the
+classifier kac_wall_inertia shares.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -166,7 +156,7 @@ def _gram_level(module, theta, levels, images):
     rows = [[0] * n for _ in range(n)]
     by_lead = {}
     for b, y in enumerate(basis):
-        lead, _, tail = module.split(y)
+        lead, tail = module.table.split(y)
         by_lead.setdefault(lead, []).append((b, tail))
     p = module.alg.p
     for f, cols in by_lead.items():
@@ -205,15 +195,17 @@ def definiteness(g):
     for x, row in zip(g.basis, g.rows):
         row, den = cleared(row, gaussian)
         a.append(row)
-        s.append(Fraction(den if g.module is None else den * g.module.scale ** (2 * x.length())))
+        s.append((den if g.module is None else den * g.module.scale ** (2 * x.length()), 1))
     idx = list(range(len(a)))
     sizes = [_pivot_size(row[r], s[r]) for r, row in enumerate(a)]
 
     def renew(r, row, mult):
         row, c = primitive(row, gaussian)
         a[r] = row
-        if c:
-            s[r] = Fraction(s[r].numerator * mult, s[r].denominator * c)
+        if c:  # s[r] times mult / c, reduced by one gcd: every factor is positive
+            num, den = s[r][0] * mult, s[r][1] * c
+            e = gcd(num, den)
+            s[r] = num // e, den // e
         sizes[r] = _pivot_size(row[r], s[r])
 
     n_pos = n_neg = n_zero = 0
@@ -261,12 +253,13 @@ def definiteness(g):
 
 
 def _pivot_size(v, s):
-    """Bits of the diagonal entry v / s that the pivot rule compares; None if v is 0."""
+    """Bits of the diagonal v / s, s a reduced pair (num, den), for the pivot rule; None at 0."""
     if not v:
         return None
+    num, den = s
     v = _integer(v)
-    c = gcd(v, s.numerator)
-    return (v // c * s.denominator).bit_length() + (s.numerator // c).bit_length()
+    c = gcd(v, num)
+    return (v // c * den).bit_length() + (num // c).bit_length()
 
 
 def _integer(v):
@@ -322,53 +315,37 @@ def fock_sign_counts(module, theta, max_level):
 def kac_wall_inertia(psi, max_n):
     """Virasoro-sector inertia that the Kac walls decide at levels 0..N, N <= max_n.
 
-    psi is a real Virasoro weight (h', c'), and the form is that of theta with
-    alpha = 1.  By Kac's determinant formula, det G_n vanishes exactly where
-    some phi_virasoro(h, c', a, b) with ab <= n does, and each of these is a
-    monic quadratic in h, whose real roots are the walls.  A wall enters at
-    level ab, and is classified by exact signs: phi(h') <= 0 puts h' on or
-    between its roots; otherwise a negative discriminant (A + B)^2 - 4 phi(0),
-    A and B the kac_factor constants, means no real root, and the vertex
-    -(A + B)/2 tells whether both roots lie below or above h'.  The form is PD
-    for h -> +infinity and has sign (-1)^length on the partition basis for
-    h -> -infinity, so by continuity a level with no wall at or above h' is
-    PD, and one with no wall at or below h' has inertia (#even-length,
-    #odd-length, 0) partitions.  Both sets of certified levels are prefixes,
-    so the triples of levels 0..N are returned; level N + 1 needs the LDL.
+    psi is a real weight (h', c'), theta has alpha = 1.  By Kac's determinant
+    formula det G_n vanishes exactly where some phi_virasoro(h, c', a, b),
+    ab <= n, a monic quadratic in h, does: a wall entering at level ab, which
+    _kac_walls places on, around, above or below h'.  The form is PD as
+    h -> +infinity and has sign (-1)^length on partitions as h -> -infinity,
+    so a level with no wall at or above h' is PD, and one with none at or
+    below h' has inertia (#even-length, #odd-length, 0).  Both certified sets
+    are prefixes; the triples of levels 0..N are returned.
     """
-    h, t = psi.l0.re, (psi.c_value(0).re - 13) / 24  # Fractions: kac_factor's terms inline
     up = down = max_n + 1  # first level with a wall at or above h', at or below h'
-    for a in range(1, max_n + 1):
-        for b in range(a, max_n // a + 1):  # phi is symmetric in (a, b)
-            level = a * b
-            shift = Fraction(level - 1, 2)
-            sum_ab = (a * a + b * b - 2) * t + 2 * shift  # A + B, -2 * vertex
-            phi0 = ((a * a - 1) * t + shift) * ((b * b - 1) * t + shift) + Fraction(
-                (a * a - b * b) ** 2, 16)  # phi_virasoro(0, c, a, b)
-            if h * (h + sum_ab) + phi0 <= 0:  # phi_virasoro(h, c, a, b)
-                up, down = min(up, level), min(down, level)
-                continue
-            if sum_ab * sum_ab < 4 * phi0:
-                continue
-            if -sum_ab < 2 * h:
-                down = min(down, level)
-            else:
-                up = min(up, level)
+    for a, b, phi, below in _kac_walls(psi.l0, psi.c_value(0), [  # phi symmetric in a, b
+            (a, b) for a in range(1, max_n + 1) for b in range(a, max_n // a + 1)]):
+        if phi <= 0:
+            up, down = min(up, a * b), min(down, a * b)
+        elif below:
+            down = min(down, a * b)
+        elif below is not None:
+            up = min(up, a * b)
     parity = _signed_partition_counts([(s, True) for s in range(1, max_n + 1)], max_n)
     return [(partition_count(n), 0, 0) if n < up else (even, odd, 0)
             for n, (even, odd) in enumerate(parity[:max(up, down)])]
 
 
 def split_inertia(alg, hw, theta, max_level):
-    """Inertia triple of the full module's form at levels 0..max_level, by the split.
+    """Inertia triples of the full module's form at levels 0..max_level, by the split, and
+    the number of Virasoro levels, 0 included, that the Kac walls certified.
 
     Needs a real weight and real beta, and alpha = 1.  pos = sum F+ V+ + F- V-,
     neg = sum F+ V- + F- V+ over Fock level d - n p and Virasoro level n; the
-    rest of partition_count(d) is the zero count, the radical of a partial J
-    included.  V comes from kac_wall_inertia where it certifies a level, from
-    the LDL of psi's Virasoro-sector Gram matrix otherwise.  Returns the
-    triples and the number of Virasoro levels, 0 included, that the walls
-    certified.
+    rest of partition_count(d) is the zero count, a partial J's radical
+    included.  V is kac_wall_inertia's where certified, else psi's LDL.
     """
     p = alg.p
     fock = fock_sign_counts(VermaModule(alg, hw, Sector.heisenberg(hw.j_set())), theta,
@@ -391,13 +368,9 @@ def split_inertia(alg, hw, theta, max_level):
 
 
 def split_check_level(p, max_level):
-    """The highest level the brute routes re-derive after a split to max_level.
-
-    Those are the levels whose full dimension partition_count(d) is at most
-    that of the largest Virasoro-sector level the split eliminated,
-    partition_count(max_level // p), which bounds the brute cost by the
-    split's own.
-    """
+    """The highest level the brute routes re-derive after a split to max_level: those
+    whose full dimension is at most partition_count(max_level // p), the largest
+    Virasoro-sector level the split eliminated, so the split bounds their cost."""
     cap = partition_count(max_level // p)
     top = max_level // p
     while top < max_level and partition_count(top + 1) <= cap:
@@ -420,9 +393,33 @@ def phi_virasoro(h, c, a, b):
 
 
 def kac_zeros(h, c, max_ab):
-    """[a, b] with a, b >= 1, a*b <= max_ab and phi_virasoro(h, c, a, b) = 0, a-major order."""
-    return [[a, b] for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1)
-            if phi_virasoro(h, c, a, b).is_zero()]
+    """[a, b] with a, b >= 1, a*b <= max_ab and phi_virasoro(h, c, a, b) = 0, a-major order:
+    by _kac_walls on ints when h and c are real, on Scalars otherwise."""
+    h, c = scalar(h), scalar(c)
+    pairs = [(a, b) for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1)]
+    if h.is_real() and c.is_real():
+        return [[a, b] for a, b, phi, _ in _kac_walls(h, c, pairs) if not phi]
+    return [[a, b] for a, b in pairs if phi_virasoro(h, c, a, b).is_zero()]
+
+
+def _kac_walls(h, c, pairs):
+    """(a, b, phi, below) for real h, c and each (a, b) in pairs, on ints: phi has the sign
+    of phi_virasoro(h, c, a, b); below is None if phi <= 0 or no root is real, else whether
+    both roots lie below h.  With h = x/y, (c - 13)/24 = t = T/D and kac_factor's A = alpha/2D,
+    B = beta/2D: 16 D^2 y^2 phi = 4 (2Dx + alpha y)(2Dx + beta y) + ((a^2 - b^2) D y)^2, the
+    discriminant (a^2 - b^2)^2 (t^2 - 1/4) < 0 iff a != b and 4 T^2 < D^2, and the vertex
+    -(A + B)/2 < h iff -(alpha + beta) y < 4 D x."""
+    x, _, y = int_parts(h)
+    t, _, den = int_parts(c)
+    t, den = t - 13 * den, 24 * den
+    no_roots = 4 * t * t < den * den  # for every wall with a != b
+    for a, b in pairs:
+        u = (a * b - 1) * den
+        alpha, beta = 2 * (a * a - 1) * t + u, 2 * (b * b - 1) * t + u
+        phi = (4 * (2 * den * x + alpha * y) * (2 * den * x + beta * y)
+               + ((a * a - b * b) * den * y) ** 2)
+        yield a, b, phi, (None if phi <= 0 or (a != b and no_roots)
+                          else -(alpha + beta) * y < 4 * den * x)
 
 
 # -- reducibility oracle ------------------------------------------------------

@@ -7,13 +7,14 @@ is a dict of its nonzero entries, so zeros are never touched.  Column by
 column, the entry of fewest bits (entry_size) among the live rows is the
 pivot d; every other live row with entry f there becomes d row - f pivot
 (both divided by gcd(d, f) for ints), divided by the positive gcd of its
-integer parts (primitive).  Each step keeps the row space, so the pivot rows
-are a row echelon form: their number is the rank, and nullspace reads the
-kernel off them by back substitution.  After k pivots a live row lies in
-the span of k + 1 input rows and vanishes on the k pivot columns, so it is a
-multiple of a vector of (k+1)-minors; for ints its primitive form divides
-that vector, so entries stay within Hadamard's bound.  Any pivot order
-gives the same rank and kernel.
+integer parts (primitive); live rows wait in buckets by first column, oldest
+first, and the first of fewest bits wins.  Each step keeps the row space, so
+the pivot rows are a row echelon form: their number is the rank, and
+nullspace reads the kernel off them by back substitution.  After k pivots a
+live row lies in the span of k + 1 input rows and vanishes on the k pivot
+columns, so it is a multiple of a vector of (k+1)-minors; for ints its
+primitive form divides that vector, so entries stay within Hadamard's bound.
+Any pivot order gives the same rank and kernel.
 """
 
 from fractions import Fraction
@@ -66,14 +67,16 @@ def _echelon(rows, ncols):
     rows = [dict(filter(itemgetter(1), row.items() if type(row) is dict else enumerate(row)))
             for row in rows]
     gaussian = any(type(v) is Scalar and int_parts(v)[1] for row in rows for v in row.values())
-    live = [dict(zip(row, cleared(list(row.values()), gaussian)[0])) for row in rows if row]
+    live = {}  # first column -> the live rows that start there, oldest first
+    for row in filter(None, rows):
+        values = cleared(list(row.values()), gaussian)[0]
+        live.setdefault(min(row), []).append(dict(zip(row, values)))
     pivots = {}  # column -> pivot row {column: nonzero entry}
     for c in range(ncols):
-        hits = [row for row in live if c in row]
+        hits = live.pop(c, None)
         if not hits:
             continue
         pivot = pivots[c] = min(hits, key=lambda row: entry_size(row[c]))
-        live = [row for row in live if c not in row]
         for row in hits:
             if row is pivot:
                 continue
@@ -91,7 +94,7 @@ def _echelon(rows, ncols):
                     del row[j]
             if row:
                 values, g = primitive(list(row.values()), gaussian)
-                live.append(dict(zip(row, values)) if g > 1 else row)
+                live.setdefault(min(row), []).append(dict(zip(row, values)) if g > 1 else row)
     return pivots, gaussian
 
 

@@ -1,45 +1,45 @@
 """PBW bases and straightening for Verma modules over the gap-p algebra.
 
-Grading is by "p-level": the L_0-eigenvalue shift from the highest weight,
-scaled by p so every level is a non-negative integer.  A factor L_{-n}
-contributes n*p, a factor I_{-m}^i contributes m*p - i.  Since the two
-families cover the multiples of p and the non-multiples of p respectively,
-monomials of p-level d correspond exactly to integer partitions of d (for the
-unrestricted module).  Dimensions are counted by a partition DP over the
-sector's factor sizes; bases are built only where their monomials are needed.
-
-A monomial is kept in canonical order: L-factors to the left of I-factors,
-L-factors by depth descending, I-factors by (m, i) descending.  Negative-mode
-I-factors commute with each other (their bracket needs m + m' = 1, impossible
-for m, m' >= 1), so the I-block carries no ordering corrections.  A monomial
-is its leading factor f times a tail at level d - |f| whose own leading
-factor ranks at most f, so pbw_basis fills the levels upward, each from the
-cached ones below, with no recursion.
+Grading is by "p-level", the L_0-eigenvalue shift from the highest weight
+times p: a factor L_{-n} adds n*p and I_{-m}^i adds m*p - i, so monomials of
+p-level d match the partitions of d (unrestricted module), and dimensions
+are a partition DP over the sector's factor sizes.  A monomial is kept in
+canonical order: L-factors left of I-factors, L-factors by depth descending,
+I-factors by (m, i) descending; negative-mode I-factors commute (their
+bracket needs m + m' = 1).  It is its leading factor f times a tail at level
+d - |f| led by a factor ranking at most f, so pbw_basis fills the levels
+upward from the cached ones below, with no recursion.
 
 Straightening is rightmost-first: a generator applied to a canonical monomial
-is either prepended (when the canonical order allows) or commuted past the
-leading factor, trading the pair for a bracket term at lower p-level.  Results
-are memoized per module, keyed by (generator, monomial), and so is each
-monomial's split into its leading factor and tail.
+is prepended (when the canonical order allows) or commuted past the leading
+factor, trading the pair for a bracket term at lower p-level; a raising
+generator that would take the p-level below 0 gives 0.  With K
+(VermaModule.scale) the lcm of 2p and every denominator in phi(L_0) and the
+phi(C_j), act_gen(g, x)[z] is K^e times the coefficient of z in g x,
+e = 1 + |x| - |z|, |x| the factor count.  It is affine in the weight, since
+a lowering generator only reorders and a raising one is consumed by the
+first L_0 or C_j it turns into; with K = 2pk and
+W = K (phi(L_0), phi(C_0), ..., phi(C_{floor(p/2)})),
 
-The memo works in a rescaled basis: with K (VermaModule.scale) the lcm of 2p
-and every denominator in phi(L_0) and the phi(C_j), a generator X stands for
-X' = K X and a monomial x for x' = K^|x| x, |x| its factor count.  A prepend
-has coefficient 1, C_j' and L_0' act by K phi(C_j) and K (phi(L_0) + d/p),
-and a bracket term carries K s, an int: every structure constant s has a
-denominator dividing 2p.  So act_gen(g, x)[z], K^(1 + |x| - |z|) times the
-coefficient of z in g x, is an int for a real weight; act and
-singular_vectors divide the scale back out.  singular_count ranks the memo's
-entries as they stand, which differ from the unscaled ones by row and
-column factors only.
+    act_gen(g, x)[z] = k^e A_z + k^(e-1) sum_j B_{z,j} W_j
+
+with ints A_z and B_{z,j} free of the weight and the sector (every structure
+constant times 2p is an int).  One Straightening per p keeps them for every
+module of that p in the process, filled lazily on an explicit stack; a
+module evaluates an entry at its own k and W (ints for a real weight,
+Gaussian Scalars for a complex one) and memoizes it.  act and
+singular_vectors divide K back out; singular_count ranks the entries as
+they stand, which differ from the unscaled ones by row and column factors.
 """
 
 from bisect import bisect_right
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from math import lcm
 
-from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term
+from .algebra import KIND_C, KIND_I, KIND_L, Combination, Gen, add_term, bracket_scaled
 from .errors import ConfigError, ScalarParseError
 from .linalg import nullspace, rank
 from .scalars import ONE, Scalar, int_parts, scalar
@@ -91,6 +91,103 @@ def _rank(g):
     if g.kind == KIND_L:
         return (1, -g.n, 0)
     return (0, -g.n, g.i)
+
+
+class Straightening:
+    """The weight-free table of one p (module docstring) in _TABLES: bases by sector, ids of
+    monomials (intern; monomials[id]) with their splits, and action(g, x), x an id: a flat
+    zr, c, zr', c', ... with zr = z << 32 | r, r = q w + j, w = p // 2 + 3, and c = A_z
+    (j = 0, q = e) or B_{z,j-1} (j >= 1, q = e - 1).  So r adds up along a product: a
+    prepend has r = 0, and a bracket term, which carries one k, adds w."""
+
+    def __init__(self, p):
+        self.p, self.width, self.bases = p, p // 2 + 3, {}  # bases: sector -> levels
+        self.monomials, self._ids = [EMPTY_MONOMIAL], {EMPTY_MONOMIAL: 0}
+        self._splits = [(None, None, None, 0)]  # id -> (lead, its _rank, tail id, p-level)
+        self._actions = defaultdict(dict)  # g -> {x id: entry}
+        self._brackets = {}  # (g, leading factor) -> bracket_scaled terms
+
+    def intern(self, mono):
+        """The id of mono, numbering it and its tails first if new (no recursion)."""
+        ids = self._ids
+        hit = ids.get(mono)
+        if hit is None:
+            new = []
+            while mono not in ids:
+                new.append((mono, mono.tail()))
+                mono = new[-1][1]
+            for mono, tail in reversed(new):
+                lead, tail = mono.leading(), ids[tail]
+                hit = ids[mono] = len(self.monomials)
+                self.monomials.append(mono)
+                self._splits.append((lead, _rank(lead), tail,
+                                     self._splits[tail][3] - lead.n * self.p - lead.i))
+        return hit
+
+    def split(self, mono):
+        """(leading factor, tail) of a nonempty monomial."""
+        lead, _, tail, _ = self._splits[self.intern(mono)]
+        return lead, self.monomials[tail]
+
+    def action(self, g, x):
+        """The entry of g on the id x, filled on an explicit stack of _commute generators."""
+        if x not in self._actions[g] and not self._direct(g, x):
+            stack = [self._commute(g, x)]
+            while stack:
+                need = next(stack[-1], None)
+                if need is None:
+                    stack.pop()
+                else:
+                    stack.append(self._commute(*need))
+        return self._actions[g][x]
+
+    def _direct(self, g, x):
+        """Store the entry of g on x and return True, unless g must commute past x's lead."""
+        lead, lead_rank, _, level = self._splits[x]
+        if g.kind == KIND_C:
+            out = (x << 32 | 2 + g.n, 1)
+        elif g.kind == KIND_L and g.n == 0:
+            out = (x << 32 | self.width, 2 * level, x << 32 | 1, 1) if level else (x << 32 | 1, 1)
+        elif g.n < 0 and (lead is None or _rank(g) >= lead_rank):
+            m = self.monomials[x]
+            out = self.intern(PBWMonomial((-g.n,) + m.lparts, m.iparts) if g.kind == KIND_L
+                              else PBWMonomial(m.lparts, ((-g.n, g.i),) + m.iparts)) << 32, 1
+        elif level < g.n * self.p + g.i:  # only a raising g, which lowers it by n p + i
+            out = ()
+        else:
+            return False
+        self._actions[g][x] = out
+        return True
+
+    def _commute(self, g, x):
+        """Yield each missing (h, y) that g f = f g + [g, f] needs, f x's lead; store g on x."""
+        actions, w = self._actions, self.width
+        lead, _, tail, _ = self._splits[x]
+        brackets = self._brackets.get((g, lead))
+        if brackets is None:
+            brackets = self._brackets[g, lead] = bracket_scaled(self.p, g, lead)
+        for h in [g] + [h for h, _ in brackets]:
+            if tail not in actions[h] and not self._direct(h, tail):
+                yield h, tail
+        moved, lead_acts = actions[g][tail], actions[lead]
+        for zr in moved[::2]:
+            if zr >> 32 not in lead_acts and not self._direct(lead, zr >> 32):
+                yield lead, zr >> 32
+        out, it = {}, iter(moved)
+        for zr, c in zip(it, it):
+            r, it2 = zr & 0xFFFFFFFF, iter(lead_acts[zr >> 32])
+            for zr2, c2 in zip(it2, it2):
+                out[zr2 + r] = out.get(zr2 + r, 0) + c * c2
+        for h, s in brackets:
+            it = iter(actions[h][tail])
+            for zr, c in zip(it, it):
+                out[zr + w] = out.get(zr + w, 0) + s * c
+        if not all(out.values()):
+            out = {zr: c for zr, c in out.items() if c}
+        actions[g][x] = tuple(chain.from_iterable(out.items()))
+
+
+_TABLES = {}  # p -> Straightening, filled on first use
 
 
 @dataclass(frozen=True)
@@ -220,12 +317,14 @@ class VermaModule:
         self.hw = hw
         self.sector = sector if sector is not None else Sector.full(alg.p)
         self.scale = lcm(2 * alg.p, *(int_parts(v)[2] for v in (hw.l0,) + hw.c))
-        self._k_l0, *self._k_c = (self._scaled(v) for v in (hw.l0,) + hw.c)
-        self._act_cache = {}
-        self._bracket_cache = {}  # K-scaled brackets [(h, K s)] by (g, leading factor)
+        self.table = _TABLES.get(alg.p) or _TABLES.setdefault(alg.p, Straightening(alg.p))
+        u = (1,) + tuple(Scalar(a * (self.scale // d), b * (self.scale // d)) if b
+                         else a * (self.scale // d) for a, b, d in map(int_parts, (hw.l0,) + hw.c))
+        k = self.scale // (2 * alg.p)  # u = (1, W); r = q w + j names u_j k^q (Straightening)
+        self._factor = cache(lambda r: u[r % len(u)] * k ** (r // len(u)))
+        self._act_cache = {}  # (g, monomial id) -> act_gen(g, monomial)
         self._gram_cache = {}  # theta -> (Gram rows of levels 0, 1, ..., images), by forms.gram
-        self._bases = [[EMPTY_MONOMIAL]]  # pbw_basis of levels 0, 1, ..., filled upward
-        self._splits = {}  # monomial -> (leading factor, its _rank, tail)
+        self._bases = self.table.bases.setdefault(self.sector, [[EMPTY_MONOMIAL]])
 
     # -- basis ---------------------------------------------------------
 
@@ -246,7 +345,8 @@ class VermaModule:
         """All monomials of p-level d, in canonical descending order (module docstring)."""
         if d < 0:
             raise ConfigError("p-level must be >= 0")
-        levels, p, sizes = self._bases, self.alg.p, self._part_sizes(d)
+        levels, p = self._bases, self.alg.p
+        sizes = self._part_sizes(d) if d >= len(levels) else ()
         for e in range(len(levels), d + 1):
             out = []
             for s in sizes[:bisect_right(sizes, e)]:
@@ -283,12 +383,6 @@ class VermaModule:
 
     # -- action ----------------------------------------------------------
 
-    def _scaled(self, v):
-        """K v for a weight value or structure constant v: an int when v is real."""
-        a, b, d = int_parts(v)
-        k = self.scale // d
-        return Scalar(a * k, b * k) if b else a * k
-
     def unscaled(self, c, e):
         """The Scalar c K^e: with e = |z| - |x| - 1, act_gen(g, x)[z] in the unscaled basis."""
         k = self.scale ** abs(e)
@@ -304,64 +398,26 @@ class VermaModule:
         return ModuleVector(self, out)
 
     def act_gen(self, g, mono):
-        """Straightened action of g' on the monomial mono', memoized (module docstring)."""
-        key = (g, mono)
+        """act_gen(g, mono) (module docstring): the table's entry at this k and W, memoized."""
+        table = self.table
+        x = table._ids.get(mono)  # intern's and action's hits, inline: the hot path
+        key = (g, table.intern(mono) if x is None else x)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        res = self._act_gen_raw(g, mono)
-        self._act_cache[key] = res
-        return res
-
-    def _act_gen_raw(self, g, mono):
-        alg = self.alg
-        p = alg.p
-        if g.kind == KIND_C:
-            c = self._k_c[g.n]
-            return {mono: c} if c else {}
-        if g.kind == KIND_L:
-            if not self.sector.include_l:
-                raise ConfigError("L-generators do not act on this sector")
-            if g.n == 0:
-                c = self._k_l0 + self.scale // p * mono.plevel(p)
-                return {mono: c} if c else {}
-            lowering = g.n < 0
-        else:
-            if g.i not in self.sector.i_indices:
-                return {}
-            lowering = g.n < 0
-        lead, lead_rank, tail = self._splits.get(mono) or self.split(mono)
-        if lowering and (lead is None or _rank(g) >= lead_rank):
-            return {self._prepended(g, mono): 1}
-        if lead is None:  # a raising generator kills the highest weight vector
-            return {}
-        # commute g past the leading factor: g f = f g + [g, f]
+        if g.kind == KIND_L and not self.sector.include_l:
+            raise ConfigError("L-generators do not act on this sector")
         out = {}
-        for m2, c2 in self.act_gen(g, tail).items():
-            for m3, c3 in self.act_gen(lead, m2).items():
-                add_term(out, m3, c2 * c3)
-        brackets = self._bracket_cache.get((g, lead))
-        if brackets is None:
-            brackets = self._bracket_cache[g, lead] = [(h, self._scaled(ch))
-                                                       for h, ch in alg.bracket_gens(g, lead)]
-        for h, ch in brackets:
-            for m2, c2 in self.act_gen(h, tail).items():
-                add_term(out, m2, ch * c2)
+        if g.kind != KIND_I or g.i in self.sector.i_indices:
+            factor, monomials = self._factor, table.monomials
+            it = iter(table._actions[g].get(key[1]) or table.action(*key))
+            for zr, c in zip(it, it):
+                z = monomials[zr >> 32]
+                out[z] = out.get(z, 0) + c * factor(zr & 0xFFFFFFFF)
+            if not all(out.values()):
+                out = {z: c for z, c in out.items() if c}
+        self._act_cache[key] = out
         return out
-
-    def split(self, mono):
-        """(leading factor, its _rank, tail) of mono, memoized; the first two None if empty."""
-        hit = self._splits.get(mono)
-        if hit is None:
-            lead = mono.leading()
-            hit = self._splits[mono] = (lead, lead and _rank(lead), mono.tail())
-        return hit
-
-    @staticmethod
-    def _prepended(g, mono):
-        if g.kind == KIND_L:
-            return PBWMonomial((-g.n,) + mono.lparts, mono.iparts)
-        return PBWMonomial(mono.lparts, ((-g.n, g.i),) + mono.iparts)
 
     # -- raising structure ---------------------------------------------
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from gapvir.algebra import AntiInvolution, GapVirasoro, Gen, sample_involution
-from gapvir.forms import gram, kac_wall_inertia
+from gapvir.forms import gram, kac_wall_inertia, kac_zeros, phi_virasoro
 from gapvir.scalars import Scalar
 from gapvir.verma import HighestWeight, PBWMonomial, Sector, VermaModule
 import reference
@@ -154,6 +154,9 @@ def test_kac_wall_inertia_matches_the_scalar_classification():
             triples = kac_wall_inertia(psi, max_n)
             assert triples == reference.kac_wall_inertia(psi, max_n), (h, c, max_n)
             kinds.add(len(triples) - 1)
+        # kac_zeros decides real (h, c) on the same integer classifier
+        assert kac_zeros(h, c, 12) == [[a, b] for a in range(1, 13) for b in range(1, 12 // a + 1)
+                                       if phi_virasoro(h, c, a, b).is_zero()], (h, c)
     assert 0 in kinds and 8 in kinds  # no level certified, and every level certified
 
 
