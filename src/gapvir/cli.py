@@ -31,10 +31,11 @@ from .oscillator import OscillatorModule, virasoro_relation_check
 from .scalars import Scalar, scalar
 from .series import FMatrix, SeriesModule, series_predicates
 from .unitarity import classify, unitarity_verdict
-from .verma import HighestWeight, Sector, VermaModule, indexed_values
+from .verma import HighestWeight, Sector, VermaModule, indexed_values, partition_count
 
 SCHEMA = "gapvir/1"
 DEFAULT_MAX_LEVEL_GUARD = 24
+WORK_BUDGET = 10 ** 7  # steps of _work, about a microsecond each
 SECTORS = ("full", "virasoro", "heisenberg")
 
 _DYNFLAG = re.compile(r"^--(c|beta)([1-9]\d*)(?:=(.*))?$")
@@ -135,13 +136,40 @@ def _parsed(flag, text, parse):
         raise GapVirError("%s %s: %s" % (flag, text, exc)) from None
 
 
+def _work(args):
+    """Steps the request's window, count, grid, max-ab and p ask for, counted before any
+    runs.  Level sums stop at 150, where they alone are over the budget: the Fock dims
+    there are at least q(150) = 19,406,016, the partitions of 150 into odd parts."""
+    p, cmd, top = args.p, args.subcommand, min(getattr(args, "max_level", 0), 150)
+    steps = 20 * p  # the weight and beta values read, and their memory
+    if cmd == "involution-check":  # every ordered pair of the mode window -4..4
+        steps += 5 * args.count * (9 * p + p // 2 + 1) ** 2
+    elif cmd == "series-check":  # F's checks, the axiom window and the delta form
+        steps += 3 * ((2 * args.window + 1) ** 3 + 344) * p ** 3
+    elif cmd == "sugawara-check":  # each (m, n) on every Fock vector up to max_level
+        dims = [1] + [0] * top  # Fock(J) for J = {1..p-1}: factor sizes not divisible by p
+        for s in range(1, top + 1):
+            for d in range(s, top + 1) if s % p else ():
+                dims[d] += dims[d - s]
+        w = 2 * args.mode_window + 1
+        steps += 10 * (p - 1) * w * w * (w + 4) * sum(dims)
+    elif cmd == "kac-scan":  # each weight: its [a, b] with ab <= max_ab, its singular counts
+        steps += ((args.central.count(",") + 1) * (args.grid[0] + 1)
+                  * (10 + args.max_ab * args.max_ab.bit_length()
+                     + 3 * sum(partition_count(n) ** 2 for n in range(top + 1))))
+    elif cmd == "reducibility":
+        steps += args.max_ab * args.max_ab.bit_length()
+    return steps
+
+
 def _resolve(args, extras):
     """Give every setting its value and check it, once, before dispatch.
 
     A setting takes its flag, else its ``--config`` key, else the default
-    declared with the flag.  Type, choices, lower bound and the level
-    guardrail apply whatever the source, and an error names the flag or key
-    and the value given.  The indexed weights and beta are checked against p.
+    declared with the flag.  Type, choices, lower bound, the level guardrail
+    and the work budget (_work) apply whatever the source, and an error names
+    the flag or key and the value given, or the estimate.  The indexed weights
+    and beta are checked against p.
     """
     config = _load_config(args.config) if args.config else {}
     values = vars(args)
@@ -173,6 +201,10 @@ def _resolve(args, extras):
                 raise GapVirError("%s %s: p-level %d is over the guardrail %d (set "
                                   "GAPVIR_MAX_LEVEL to raise it)" % (name, raw, scaled, guard))
         values[dest] = value
+    steps = _work(args)
+    if steps > WORK_BUDGET:
+        raise GapVirError("%s: the estimated work, %d steps, is over the budget of %d"
+                          % (args.subcommand, steps, WORK_BUDGET))
     p = args.p
     args.alg = GapVirasoro(p)
     given = _collect_dynamic(extras, args.indexed)

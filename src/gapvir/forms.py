@@ -7,14 +7,16 @@ and its entry at (x, y), y = f_1...f_k, is the coefficient of v in
 theta(f_k)...theta(f_1) x v.  Levels are assembled recursively (Shapovalov
 style): with y = f y', (g, c) = theta(f) and d' the p-level of y', the column
 of G_d at y is c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d'
-basis z, for each x of level d, by associativity.  Every level below d is
-built once and cached on the module, by theta and then level; the tests
-keep the per-entry route as the independent reference.  The recursion runs
-on verma's rescaled monomials x' = K^|x| x, so the cached rows are
-G' = D G D, D = diag(K^|x|): ints for a real weight and theta coefficients
-+-1.  A positive diagonal congruence keeps hermiticity, inertia and kernel
-dimension (Sylvester's law); gram converts G' to G only when a report reads
-its entries.
+basis z, for each x of level d, by associativity.  VermaModule.level's plan
+gives the columns led by f as one run whose tails y' end level d', so each
+(g, x) is read once, by id, from VermaModule.evaluate into a row slice.
+Every level below d is built once and cached on the module, by theta and
+then level; the tests keep the per-entry route as the independent reference.
+The recursion runs on verma's rescaled monomials x' = K^|x| x, so the cached
+rows are G' = D G D, D = diag(K^|x|): ints for a real weight and theta
+coefficients +-1.  A positive diagonal congruence keeps hermiticity, inertia
+and kernel dimension (Sylvester's law); gram converts G' to G only when a
+report reads its entries.
 
 Definiteness is decided by LDL* with complete symmetric pivoting: the
 nonzero diagonal entry of fewest bits (linalg.entry_size) goes first, the
@@ -145,42 +147,39 @@ def _gram_level(module, theta, levels, images):
     """Rows of the rescaled Gram matrix G' at level d = len(levels), by the module docstring.
 
     levels holds the rows of levels 0..d-1, and images theta's image of each
-    leading factor met so far.  Columns that share a leading factor share one
-    act_gen call per row.
+    leading factor met so far.
     """
     d = len(levels)
     if not d:
         return [[1]]
-    basis = module.pbw_basis(d)
-    n = len(basis)
-    rows = [[0] * n for _ in range(n)]
-    by_lead = {}
-    for b, y in enumerate(basis):
-        lead, tail = module.table.split(y)
-        by_lead.setdefault(lead, []).append((b, tail))
-    p = module.alg.p
-    for f, cols in by_lead.items():
+    ids, _, groups = module.level(d)
+    rows, evaluate = [[0] * len(ids) for _ in ids], module.evaluate
+    for f, lower_level, b0, b1 in groups:
         if f not in images:
             g, c = theta.image_of(f)
             if int_parts(c)[1:] == (0, 1):  # an int c keeps int rows int
                 c = int_parts(c)[0]
             images[f] = g, c
         g, c = images[f]
-        lower_level = cols[0][1].plevel(p)
-        lower = levels[lower_level]
-        index = {m: k for k, m in enumerate(module.pbw_basis(lower_level))}
-        cols = [(b, index[tail]) for b, tail in cols]
-        for a, x in enumerate(basis):
-            image = [(lower[index[z]], cz) for z, cz in module.act_gen(g, x).items()]
-            row = rows[a]
-            for b, j in cols:
+        lower, index = levels[lower_level], module.level(lower_level)[1]
+        j0 = len(lower) - (b1 - b0)
+        if b1 - b0 == 1:  # most groups: one column, summed without lists
+            for row, x in zip(rows, ids):
                 s = 0
-                for lower_row, cz in image:
-                    e = lower_row[j]
-                    if e:
+                for z, cz in evaluate(g, x).items():
+                    if e := lower[index[z]][j0]:
                         s = s + cz * e
                 if s:
-                    row[b] = c * s
+                    row[b0] = c * s
+            continue
+        for row, x in zip(rows, ids):
+            sums = None
+            for z, cz in evaluate(g, x).items():
+                tails = lower[index[z]][j0:]
+                sums = ([cz * e if e else 0 for e in tails] if sums is None
+                        else [s + cz * e if e else s for s, e in zip(sums, tails)])
+            if sums:
+                row[b0:b1] = [c * s if s else 0 for s in sums]
     return rows
 
 
@@ -396,7 +395,7 @@ def kac_zeros(h, c, max_ab):
     """[a, b] with a, b >= 1, a*b <= max_ab and phi_virasoro(h, c, a, b) = 0, a-major order:
     by _kac_walls on ints when h and c are real, on Scalars otherwise."""
     h, c = scalar(h), scalar(c)
-    pairs = [(a, b) for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1)]
+    pairs = ((a, b) for a in range(1, max_ab + 1) for b in range(1, max_ab // a + 1))
     if h.is_real() and c.is_real():
         return [[a, b] for a, b, phi, _ in _kac_walls(h, c, pairs) if not phi]
     return [[a, b] for a, b in pairs if phi_virasoro(h, c, a, b).is_zero()]

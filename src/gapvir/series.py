@@ -121,12 +121,14 @@ class SeriesModule:
                 add_term(out, target, val)
         return out
 
-    def image_table(self):
-        """A new memo image(g, v): g v as a (coefficient, target) pair, None when zero."""
+    def image_table(self, parts=False):
+        """A new memo image(g, v): g v as (coefficient, target), or as (a, b, d, target) with
+        the coefficient's int parts if parts; None when zero."""
         @cache
         def image(g, v):
             coeff, target = self.act_basis(g, *v)
-            return (coeff, target) if target is not None and coeff else None
+            if target is not None and coeff:
+                return (*int_parts(coeff), target) if parts else (coeff, target)
         return image
 
     def axiom_check(self, window):
@@ -134,40 +136,49 @@ class SeriesModule:
 
         Every (x, y, j, k) of the window is compared, in this order, and the
         first failure is the witness.  The action is monomial, so each image
-        g v is tabulated once per check, and x y v, y x v and [x, y] v are
-        products of table entries; a column outside col(F) is never tabulated
-        and raises each time.
+        g v is read from act_basis once per check, as the int parts (a, b, d)
+        of its coefficient and its target; x y v - y x v - [x, y] v is then a
+        sum of at most four terms (a + b i)/d, which must cancel at each target.
+        A column outside col(F) is never tabulated and raises each time.
         """
         alg = self.alg
         gens = alg.basis_window(-window, window)
-        image = self.image_table()
-
-        def twice(g1, g2, v):
-            """g2 g1 v, as image gives it."""
-            first = image(g1, v)
-            second = first and image(g2, first[1])
-            return second and (first[0] * second[0], second[1])
-
+        image = self.image_table(True)
         for gx in gens:
             for gy in gens:
-                bracket = alg.bracket_gens(gx, gy)
+                bracket = [(h, int_parts(-ch)) for h, ch in alg.bracket_gens(gx, gy)]
+                orders = ((gy, gx, 1), (gx, gy, -1))
                 for j in self.columns:
                     for k in range(-window, window + 1):
-                        v = (k, j)
-                        xy, yx = twice(gy, gx, v), twice(gx, gy, v)
-                        lhs = {xy[1]: xy[0]} if xy else {}
-                        if yx:
-                            add_term(lhs, yx[1], -yx[0])
-                        rhs = {}
-                        for h, ch in bracket:
+                        v, terms = (k, j), []
+                        for g1, g2, sign in orders:
+                            first = image(g1, v)
+                            second = first and image(g2, first[3])
+                            if second:
+                                (a, b, d, _), (a2, b2, d2, to) = first, second
+                                terms.append((sign * (a * a2 - b * b2), sign * (a * b2 + b * a2),
+                                              d * d2, to))
+                        for h, (a, b, d) in bracket:
                             hv = image(h, v)
-                            if hv and (val := ch * hv[0]):
-                                add_term(rhs, hv[1], val)
-                        if lhs != rhs:
+                            if hv:
+                                a2, b2, d2, to = hv
+                                terms.append((a * a2 - b * b2, a * b2 + b * a2, d * d2, to))
+                        if terms and not _cancels(terms):
                             return {"pass": False,
-                                    "witness": {"x": str(gx), "y": str(gy),
-                                                "k": k, "j": j}}
+                                    "witness": {"x": str(gx), "y": str(gy), "k": k, "j": j}}
         return {"pass": True, "witness": None}
+
+
+def _cancels(terms):
+    """Whether the terms (a, b, d, target), each (a + b i)/d at its target, sum to 0 at
+    every target: one sum on a common denominator, or one per target when they differ."""
+    targets = {t[3] for t in terms}
+    if len(targets) > 1:
+        return all(_cancels([t for t in terms if t[3] == to]) for to in targets)
+    a, b, den = 0, 0, 1
+    for ta, tb, td, _ in terms:
+        a, b, den = a * td + ta * den, b * td + tb * den, den * td
+    return not a and not b
 
 
 def delta_form_contravariant(module, beta, window):

@@ -25,11 +25,15 @@ W = K (phi(L_0), phi(C_0), ..., phi(C_{floor(p/2)})),
 
 with ints A_z and B_{z,j} free of the weight and the sector (every structure
 constant times 2p is an int).  One Straightening per p keeps them for every
-module of that p in the process, filled lazily on an explicit stack; a
-module evaluates an entry at its own k and W (ints for a real weight,
-Gaussian Scalars for a complex one) and memoizes it.  act and
-singular_vectors divide K back out; singular_count ranks the entries as
-they stand, which differ from the unscaled ones by row and column factors.
+module of that p in the process, filled lazily on an explicit stack, and
+each sector's level plans: ids, positions, and columns by leading factor, a
+run of the basis whose tails are, in order, the last monomials of the lower
+level (both orders are lexicographic).  VermaModule.evaluate turns an entry
+into {z id: value} at the module's own k and W (ints for a real weight,
+Gaussian Scalars for a complex one); the Gram and raising rows read it once
+per entry, by id, and act_gen keys it by monomial and memoizes it for act.
+act and singular_vectors divide K back out; singular_count ranks the entries
+as they stand, which differ from the unscaled ones by row and column factors.
 """
 
 from bisect import bisect_right
@@ -106,6 +110,7 @@ class Straightening:
         self._splits = [(None, None, None, 0)]  # id -> (lead, its _rank, tail id, p-level)
         self._actions = defaultdict(dict)  # g -> {x id: entry}
         self._brackets = {}  # (g, leading factor) -> bracket_scaled terms
+        self.plans = {}  # sector -> {d: VermaModule.level(d)}
 
     def intern(self, mono):
         """The id of mono, numbering it and its tails first if new (no recursion)."""
@@ -123,11 +128,6 @@ class Straightening:
                 self._splits.append((lead, _rank(lead), tail,
                                      self._splits[tail][3] - lead.n * self.p - lead.i))
         return hit
-
-    def split(self, mono):
-        """(leading factor, tail) of a nonempty monomial."""
-        lead, _, tail, _ = self._splits[self.intern(mono)]
-        return lead, self.monomials[tail]
 
     def action(self, g, x):
         """The entry of g on the id x, filled on an explicit stack of _commute generators."""
@@ -325,6 +325,7 @@ class VermaModule:
         self._act_cache = {}  # (g, monomial id) -> act_gen(g, monomial)
         self._gram_cache = {}  # theta -> (Gram rows of levels 0, 1, ..., images), by forms.gram
         self._bases = self.table.bases.setdefault(self.sector, [[EMPTY_MONOMIAL]])
+        self._plans = self.table.plans.setdefault(self.sector, {})
 
     # -- basis ---------------------------------------------------------
 
@@ -398,26 +399,44 @@ class VermaModule:
         return ModuleVector(self, out)
 
     def act_gen(self, g, mono):
-        """act_gen(g, mono) (module docstring): the table's entry at this k and W, memoized."""
-        table = self.table
-        x = table._ids.get(mono)  # intern's and action's hits, inline: the hot path
-        key = (g, table.intern(mono) if x is None else x)
+        """act_gen(g, mono) (module docstring) as {monomial: entry}, memoized."""
+        key = (g, self.table.intern(mono))
         hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            monomials = self.table.monomials
+            hit = self._act_cache[key] = {monomials[z]: c for z, c in self.evaluate(*key).items()}
+        return hit
+
+    def evaluate(self, g, x):
+        """The table's entry of g on the id x at this module's k and W, as {z id: entry}."""
         if g.kind == KIND_L and not self.sector.include_l:
             raise ConfigError("L-generators do not act on this sector")
-        out = {}
-        if g.kind != KIND_I or g.i in self.sector.i_indices:
-            factor, monomials = self._factor, table.monomials
-            it = iter(table._actions[g].get(key[1]) or table.action(*key))
-            for zr, c in zip(it, it):
-                z = monomials[zr >> 32]
-                out[z] = out.get(z, 0) + c * factor(zr & 0xFFFFFFFF)
-            if not all(out.values()):
-                out = {z: c for z, c in out.items() if c}
-        self._act_cache[key] = out
-        return out
+        if g.kind == KIND_I and g.i not in self.sector.i_indices:
+            return {}
+        entry, factor = self.table._actions[g].get(x) or self.table.action(g, x), self._factor
+        if len(entry) == 2:  # one term, the common case
+            c = entry[1] * factor(entry[0] & 0xFFFFFFFF)
+            return {entry[0] >> 32: c} if c else {}
+        out, it = {}, iter(entry)
+        for zr, c in zip(it, it):
+            z = zr >> 32
+            out[z] = out.get(z, 0) + c * factor(zr & 0xFFFFFFFF)
+        return out if all(out.values()) else {z: c for z, c in out.items() if c}
+
+    def level(self, d):
+        """Level d's plan (module docstring): ids, {id: position}, and [f, d - |f|, b0, b1]
+        for each leading factor f, which leads columns b0..b1-1."""
+        plan = self._plans.get(d)
+        if plan is None:
+            ids, splits = list(map(self.table.intern, self.pbw_basis(d))), self.table._splits
+            groups = []
+            for b, x in enumerate(ids if d else ()):
+                f, _, tail, _ = splits[x]
+                if not groups or groups[-1][0] != f:
+                    groups.append([f, splits[tail][3], b, b])
+                groups[-1][3] = b + 1
+            plan = self._plans[d] = ids, {x: b for b, x in enumerate(ids)}, groups
+        return plan
 
     # -- raising structure ---------------------------------------------
 
@@ -433,37 +452,37 @@ class VermaModule:
         return [self.alg.I(n, i) for n in range(d // self.alg.p + 1) for i in i_indices]
 
     def _raising_rows(self, d, unscale):
-        """The level-d basis and the raising set's blocks stacked, as rows {column: entry}:
-        act_gen(g, x)[z] at (z, x), unscaled if asked.  No rows on an empty basis."""
+        """The level-d ids and the raising set's blocks stacked, as rows {column: entry}:
+        evaluate(g, x)[z] at (z, x), unscaled if asked.  No rows on an empty basis."""
         if d < 1:
             raise ConfigError("singular vectors live at p-level >= 1")
-        basis = self.pbw_basis(d)
-        rows = []
-        for g in self.raising_set(d) if basis else ():
+        ids, monomials, rows = self.level(d)[0], self.table.monomials, []
+        for g in self.raising_set(d) if ids else ():
             target = d - g.n * self.alg.p - g.i  # g lowers the p-level by n p + i
             if target < 0:
                 continue
-            index = {m: k for k, m in enumerate(self.pbw_basis(target))}
+            index = self.level(target)[1]
             block = [{} for _ in index]
-            for b, mono in enumerate(basis):
-                for m2, c2 in self.act_gen(g, mono).items():
-                    block[index[m2]][b] = (self.unscaled(c2, m2.length() - mono.length() - 1)
-                                           if unscale else c2)
+            for b, x in enumerate(ids):
+                for z, c in self.evaluate(g, x).items():
+                    block[index[z]][b] = (self.unscaled(c, monomials[z].length()
+                                                        - monomials[x].length() - 1)
+                                          if unscale else c)
             rows += block
-        return basis, rows
+        return ids, rows
 
     def singular_vectors(self, d):
         """Exact basis of level-d vectors killed by the raising set."""
-        basis, rows = self._raising_rows(d, True)
-        return [ModuleVector(self, {m: c for m, c in zip(basis, sol) if c})
-                for sol in nullspace(rows, len(basis))] if basis else []
+        ids, rows = self._raising_rows(d, True)
+        return [ModuleVector(self, {self.table.monomials[x]: c for x, c in zip(ids, sol) if c})
+                for sol in nullspace(rows, len(ids))] if ids else []
 
     def singular_count(self, d):
         """dim of the level-d singular space: dim - rank of the raising rows, taken on the
-        memo's entries c; the unscaled c K^(|z| - |x| - 1) scales them by a row factor
+        evaluated entries c; the unscaled c K^(|z| - |x| - 1) scales them by a row factor
         K^|z| and a column factor K^-(|x| + 1), which keep the rank."""
-        basis, rows = self._raising_rows(d, False)
-        return len(basis) - rank(rows, len(basis)) if basis else 0
+        ids, rows = self._raising_rows(d, False)
+        return len(ids) - rank(rows, len(ids)) if ids else 0
 
 
 def partition_count(n, cache={0: 1}):
