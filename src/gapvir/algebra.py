@@ -266,14 +266,6 @@ class GapVirasoro:
             raise ConfigError("bracket operands built over a different p")
         return Element(self.p, _bracket_terms(self.bracket_gens, x.terms, y.terms))
 
-    def weight_of(self, g):
-        """ad-L_0 eigenvalue: -n for L_n, -(n + i/p) for I_n^i, 0 for C_j."""
-        if g.kind == KIND_L:
-            return Fraction(-g.n)
-        if g.kind == KIND_I:
-            return -Fraction(g.n * self.p + g.i, self.p)
-        return Fraction(0)
-
     # -- text ------------------------------------------------------------
 
     def parse_element(self, text):

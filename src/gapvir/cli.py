@@ -21,6 +21,7 @@ import os
 import random
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import (AntiInvolution, GapVirasoro, involution_axiom_report,
@@ -47,7 +48,7 @@ def _emit(args, payload, exit_code=0):
     payload["schema"] = SCHEMA
     payload["tool"] = {"name": "gapvir", "version": __version__}
     if args.output_format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     else:
         text = _render_text(payload)
     if args.output:
@@ -56,6 +57,43 @@ def _emit(args, payload, exit_code=0):
     else:
         sys.stdout.write(text)
     return exit_code
+
+
+def _dumps(value):
+    """json.dumps(value, sort_keys=True, indent=2) in one pass (json's C encoder never indents)."""
+    out = []
+    _write(out, value, "\n")
+    return "".join(out)
+
+
+def _write(out, value, pad):
+    """Append json's text for value to out, pad being a newline and the indent.  Types are
+    tried in json's order, keys sorted on their values (int keys as numbers), and floats
+    and empties are json.dumps's own.  Module level: a closure calling itself would leave
+    each report's list to the cycle collector."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner, start = pad + "  ", len(out)
+        for item in value:
+            out.append("," + inner)
+            _write(out, item, inner)
+        out[start] = "[" + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict) and value:
+        inner, start = pad + "  ", len(out)
+        for key in sorted(value):
+            out.append("," + inner + encode_basestring_ascii(
+                key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write(out, value[key], inner)
+        out[start] = "{" + out[start][1:]
+        out.append(pad + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def _render_text(payload):
@@ -427,6 +465,7 @@ def build_parser():
         description="Exact computations in gap-p Virasoro representation theory.")
     parser.add_argument("--version", action="version", version="gapvir " + __version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for main's dispatch
 
     def command(name, handler, help, indexed=()):
         """Add a subcommand with the shared flags; return the function adding its own.
@@ -525,8 +564,14 @@ def _parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extras = _parser().parse_known_args(argv)
+        parser = _parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:  # no subcommand first: --version, -h, a usage error
+            args, extras = parser.parse_known_args(argv)
+        else:  # the call argparse's subparsers action makes, without the top-level scan
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
         _resolve(args, extras)
         return args.handler(args)
     except (GapVirError, ZeroDivisionError, OSError, ValueError) as exc:

@@ -69,6 +69,11 @@ class Scalar:
     @classmethod
     def parse(cls, text):
         """Parse the canonical "p/q+r/s*i" form; zero parts may be omitted."""
+        num, slash, den = text[text[:1] in ("+", "-"):].partition("/")  # [+-]n, [+-]n/d first
+        if num.isdecimal() and (den.isdecimal() or not slash):  # isdecimal: the regex's \d
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                return cls(-n if text[0] == "-" else n, 0, d)
         s = text.replace(" ", "")
         if not s:
             raise ScalarParseError("empty scalar string")

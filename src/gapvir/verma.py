@@ -276,8 +276,9 @@ def indexed_values(p, found, source, prefix, first, last, fill, extra=(), given=
 
     for name in list(given) + list(found):
         if name not in names:
-            raise ConfigError("%s is out of range: p=%d allows --%s%d..--%s%d"
-                              % (where(name), p, prefix, first, prefix, last))
+            keys = "%s%d..%s%d" % (prefix, first, prefix, last)
+            allowed = "--" + keys.replace("..", "..--") if name in given else ", ".join((*extra, keys))
+            raise ConfigError("%s is out of range: p=%d allows %s" % (where(name), p, allowed))
     values = []
     fill = scalar(fill)
     for name in names:
@@ -372,9 +373,6 @@ class VermaModule:
             for k in range(s, max_level + 1):
                 ways[k] += ways[k - s]
         return ways
-
-    def graded_dim(self, d):
-        return self.graded_dims(d)[d]
 
     def highest_vector(self):
         return ModuleVector(self, {EMPTY_MONOMIAL: ONE})

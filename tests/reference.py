@@ -57,6 +57,20 @@ def gen_element(alg, g, coeff=1):
     return Element(alg.p, {g: scalar(coeff)})
 
 
+def weight_of(alg, g):
+    """ad-L_0 eigenvalue: -n for L_n, -(n + i/p) for I_n^i, 0 for C_j."""
+    if g.kind == KIND_L:
+        return Fraction(-g.n)
+    if g.kind == KIND_I:
+        return -Fraction(g.n * alg.p + g.i, alg.p)
+    return Fraction(0)
+
+
+def graded_dim(module, d):
+    """The monomial count at p-level d."""
+    return module.graded_dims(d)[d]
+
+
 def pbw_basis(module, d):
     """The monomials of p-level d in canonical descending order, by partitions of d into
     the sector's factor sizes, largest part first."""
@@ -135,7 +149,7 @@ def singular_vectors(module, d):
     p = module.alg.p
     rows = []
     for g in module.raising_set(d):
-        target = d + int(module.alg.weight_of(g) * p)
+        target = d + int(weight_of(module.alg, g) * p)
         if target < 0:
             continue
         index = {m: k for k, m in enumerate(module.pbw_basis(target))}

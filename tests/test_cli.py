@@ -131,6 +131,31 @@ def test_scalar_errors_name_their_flag_or_key(tmp_path, monkeypatch, capsys, fil
     assert capsys.readouterr() == ("", "gapvir: %s\n" % line)
 
 
+@pytest.mark.parametrize("files, argv, line", [
+    ({}, ["unitary-check", "--p", "2", "--c2", "1"], "--c2 is out of range: p=2 allows --c0..--c1"),
+    ({}, ["gram", "--p", "3", "--beta3", "1"],
+     "--beta3 is out of range: p=3 allows --beta1..--beta2"),
+    ({"run.json": {"weights": {"c3": "1"}}}, ["gram", "--p", "4", "--config", "run.json"],
+     "config weights key 'c3' is out of range: p=4 allows l0, c0..c2"),
+    ({"run.json": {"beta": {"beta0": "1"}}}, ["gram", "--p", "2", "--config", "run.json"],
+     "config beta key 'beta0' is out of range: p=2 allows beta1..beta1"),
+    ({"d.json": {"type": "highest-weight", "l0": "1/16", "c0": "2", "c1": "1", "extra": "1"}},
+     ["classify", "--p", "2", "--input", "d.json"],
+     "descriptor key 'extra' is out of range: p=2 allows l0, c0..c1"),
+    ({"d.json": {"type": "lowest-weight", "c2": "1"}}, ["classify", "--p", "3", "--input", "d.json"],
+     "descriptor key 'c2' is out of range: p=3 allows l0, c0..c1"),
+], ids=["c-flag", "beta-flag", "config-weights-key", "config-beta-key", "descriptor-key",
+        "lowest-descriptor-key"])
+def test_out_of_range_names_the_keys_of_its_source(tmp_path, monkeypatch, capsys, files, argv,
+                                                   line):
+    # a flag is answered with flags, a file key with the keys that file may hold
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "gapvir: %s\n" % line)
+
+
 def test_verdict_failure_exit_code(capsys):
     code, out = run_cli(capsys, ["series-check", "--p", "3", "--a", "1/3",
                                  "--b", "1/2", "--window", "2",

@@ -13,7 +13,7 @@ from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
 from gapvir.oscillator import gap_weight_sum, shifted_weight
 from gapvir.scalars import Scalar, scalar
 from gapvir.verma import HighestWeight, ModuleVector, Sector, VermaModule
-from reference import pairing
+from reference import pairing, weight_of
 
 
 def hermitian(entries):
@@ -251,7 +251,7 @@ def test_contravariance_spot_check():
         y_basis = module.pbw_basis(d)
         for g in gens:
             # g shifts the p-level by -w, so pick x at the matching source level
-            w = int(-alg.weight_of(g) * 2)
+            w = int(-weight_of(alg, g) * 2)
             src = d + w
             if src < 0:
                 continue

@@ -131,3 +131,31 @@ def test_three_part_constructor_reduces_and_rejects_a_nonpositive_denominator():
     for den in (0, -1, -12):
         with pytest.raises(ValueError):
             Scalar(1, 2, den)
+
+
+PARSE_TEXTS = ["+5", "-0", "0", "-12", "007/010", "-6/4", "+3/9", "1/0", "-0/0", "0/7", "1/-2",
+               "-", "+", "/", "1/", "/2", "", " ", " 1 / 2 ", "- 3", "\t1", "1\n", "²", "٣",
+               "٣/٤", "1_000", "1/2/3", "--1", "+-1", "1.5", "i", "-i", "2*i", "1/2+3/4*i",
+               "3i", "1/2+1/3", "5" * 5000, "-" + "7" * 5000 + "/3", "1/" + "3" * 5000,
+               "9" * 5000 + "/" + "9" * 6000, "1/0" + "0" * 4400, "x"]
+
+
+def _parsed(parse, text):
+    """parse(text) as its text form, or the exception's type and message."""
+    try:
+        return str(parse(text))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", PARSE_TEXTS, ids=lambda t: repr(t)[:24])
+def test_parse_matches_the_fraction_reference(text):
+    assert _parsed(Scalar.parse, text) == _parsed(FractionScalar.parse, text)
+
+
+def test_parse_matches_the_fraction_reference_on_seeded_rationals():
+    rng = random.Random("scalar-parse")
+    for _ in range(2000):
+        text = (rng.choice(("", "", "+", "-")) + rng.choice(("0", "00", "7", "12", "360"))
+                + rng.choice(("", "", "/", "/0", "/1", "/4", "/036", "/-2")))
+        assert _parsed(Scalar.parse, text) == _parsed(FractionScalar.parse, text)
