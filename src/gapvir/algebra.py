@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import ConfigError
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, Scalar, cancels, int_parts, scalar
 
 KIND_L = "L"
 KIND_I = "I"
@@ -345,25 +345,15 @@ def _involute(image_of, terms):
 
 
 def _split_terms(s):
-    """Split a rendered element on top-level ' + ' while keeping parenthesized coefficients intact."""
-    parts = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and s.startswith(" + ", i):
-            parts.append("".join(cur))
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
+    """Split a rendered element on ' + ' outside parentheses, so a parenthesized coefficient
+    stays whole: str.split, then each piece rejoins the one before while that is unbalanced."""
+    parts = s.split(" + ")
+    if "(" in s or ")" in s:
+        merged, depth = [], 0
+        for part in parts:
+            merged += [merged.pop() + " + " + part] if depth else [part]
+            depth += part.count("(") - part.count(")")
+        parts = merged
     return [t for t in (t.strip() for t in parts) if t]
 
 
@@ -420,36 +410,42 @@ def sample_involution(alg, rng, kind):
 def involution_axiom_report(alg, theta, lo=-4, hi=4):
     """Exact axiom checks for one anti-involution on the mode window [lo, hi].
 
-    Covers theta^2 = id, conjugate-linearity, anti-multiplicativity, and
-    stability of the Virasoro and Heisenberg spans.  Tables local to the call
-    hold theta.image_of of each generator met, theta of each window generator
-    and bracket_gens of each ordered pair met, each computed once; every
-    generator and every pair (x, y) of the window is still compared.
+    Covers theta^2 = id, conjugate-linearity, anti-multiplicativity, and stability of the
+    Virasoro and Heisenberg spans.  theta is monomial: theta.image_of and bracket_gens are
+    read once per label and ordered pair met, as int parts (a, b, d).  Every generator and
+    every pair (x, y) is compared: theta([x, y]) - [theta(y), theta(x)] is a sum of terms
+    (a + b i)/d that must cancel at each label.
     """
     if theta.p != alg.p:
         raise ConfigError("involution and element disagree on p")
     window = alg.basis_window(lo, hi)
     image_of = cache(theta.image_of)
-    bracket_gens = cache(alg.bracket_gens)
+    image = cache(lambda g: (image_of(g)[0], *int_parts(image_of(g)[1])))  # (h, a, b, d)
+    brackets = cache(lambda x, y: [(h, *int_parts(c)) for h, c in alg.bracket_gens(x, y)])
+    images = [(g, *image(g)) for g in window]
     checks = {"square": True, "conjugateLinear": True,
               "antiMultiplicative": True, "stability": True}
     probe = Scalar(Fraction(2, 3), Fraction(1, 5))
     allowed = {"L": {"L", "C0"}, "C0": {"C0"}, "I": {"I", "C+"}, "C+": {"C+"}}
-    thetas = {g: _involute(image_of, [(g, ONE)]) for g in window}
-    for g in window:
-        tx = thetas[g]
-        if _involute(image_of, tx.items()) != {g: ONE}:
+    for g, h, a, b, d in images:
+        h2, a2, b2, d2 = image(h)  # theta(theta(g)) = conj(s) s2 h2
+        if h2 != g or a * a2 + b * b2 != d * d2 or a * b2 != b * a2:
             checks["square"] = False
         if (_involute(image_of, [(g, probe * ONE)])
-                != {h: probe.conj() * c for h, c in tx.items()}):
+                != {h: probe.conj() * c for h, c in _involute(image_of, [(g, ONE)]).items()}):
             checks["conjugateLinear"] = False
-        if not {_span_tag(h) for h in tx} <= allowed[_span_tag(g)]:
+        if (a or b) and _span_tag(h) not in allowed[_span_tag(g)]:
             checks["stability"] = False
-    for gx in window:
-        tx = thetas[gx]
-        for gy in window:
-            lhs = _involute(image_of, bracket_gens(gx, gy))  # [x, y] for basis labels
-            if lhs != _bracket_terms(bracket_gens, thetas[gy], tx):
+    for gx, hx, ax, bx, dx in images:
+        for gy, hy, ay, by, dy in images:
+            terms = []
+            for h, a, b, d in brackets(gx, gy):  # theta([x, y]): conj(c) theta(h)
+                k, a2, b2, d2 = image(h)
+                terms.append((a * a2 + b * b2, a * b2 - b * a2, d * d2, k))
+            sa, sb = ay * ax - by * bx, ay * bx + by * ax  # [theta(y), theta(x)]: s_y s_x [hy, hx]
+            for k, a, b, d in brackets(hy, hx) if sa or sb else ():
+                terms.append((sb * b - sa * a, -sa * b - sb * a, dy * dx * d, k))
+            if terms and not cancels(terms):
                 checks["antiMultiplicative"] = False
     return checks
 

@@ -98,21 +98,21 @@ def _write(out, value, pad):
 
 def _render_text(payload):
     lines = []
-
-    def walk(key, value, indent):
-        pad = "  " * indent
-        if isinstance(value, dict):
-            lines.append("%s%s:" % (pad, key))
-            for k in sorted(value):
-                walk(k, value[k], indent + 1)
-        elif isinstance(value, list):
-            lines.append("%s%s: %s" % (pad, key, json.dumps(value, sort_keys=True)))
-        else:
-            lines.append("%s%s: %s" % (pad, key, value))
-
     for k in sorted(payload):
-        walk(k, payload[k], 0)
+        _walk(lines, k, payload[k], "")
     return "\n".join(lines) + "\n"
+
+
+def _walk(lines, key, value, pad):
+    """Append the text lines of one key to lines (module level, as _write is)."""
+    if isinstance(value, dict):
+        lines.append("%s%s:" % (pad, key))
+        for k in sorted(value):
+            _walk(lines, k, value[k], pad + "  ")
+    elif isinstance(value, list):
+        lines.append("%s%s: %s" % (pad, key, json.dumps(value, sort_keys=True)))
+    else:
+        lines.append("%s%s: %s" % (pad, key, value))
 
 
 def _load_config(path):
@@ -356,13 +356,14 @@ def _cmd_reducibility(args):
 
 def _cmd_sugawara_check(args):
     osc = OscillatorModule(args.alg, args.hw)
-    checks = []
-    ok = True
-    for m in range(-args.mode_window, args.mode_window + 1):
-        for n in range(-args.mode_window, args.mode_window + 1):
-            rep = virasoro_relation_check(osc, m, n, args.max_level)
-            ok = ok and rep["pass"]
-            checks.append({k: rep[k] for k in ("m", "n", "maxLevel", "pass")})
+    modes = range(-args.mode_window, args.mode_window + 1)
+    # one check per pair m < n: on the memoized L, (n, m)'s two sides are exactly minus
+    # (m, n)'s, and (m, m)'s are both 0 (README, "Sugawara relations")
+    passed = {(m, n): virasoro_relation_check(osc, m, n, args.max_level)["pass"]
+              for m in modes for n in modes if m < n}
+    checks = [{"m": m, "n": n, "maxLevel": args.max_level,
+               "pass": m == n or passed[min(m, n), max(m, n)]} for m in modes for n in modes]
+    ok = all(passed.values())
     return _emit(args, {
         "config": _config_echo(args, {"maxLevel": args.max_level,
                                       "modeWindow": args.mode_window,

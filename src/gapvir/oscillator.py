@@ -22,7 +22,7 @@ tensor-splitting checks inside the unrestricted Verma module.
 
 from fractions import Fraction
 
-from .algebra import KIND_C, KIND_L, add_term
+from .algebra import KIND_C, KIND_I, KIND_L, Gen, add_term
 from .errors import ConfigError
 from .scalars import ZERO, Scalar, scalar
 from .verma import HighestWeight, ModuleVector, Sector, VermaModule
@@ -47,26 +47,30 @@ def shifted_weight(hw):
 
 
 def sugawara_sum(module, j_set, phi_c, n, vec):
-    """Apply the normal-ordered quadratic part of L_n to a module vector."""
-    p = module.alg.p
-    if vec.is_zero():
-        return vec
-    out = ModuleVector(module)
+    """Apply the normal-ordered quadratic part of L_n to a module vector: each pair of modes
+    is composed on the table's ids (VermaModule.evaluate), summed per monomial x and j, and
+    scaled back once, a path x -> z -> z2 carrying K^(2 + |x| - |z2|)."""
+    p, table = module.alg.p, module.table
     d = vec.max_plevel()
     bound = (d - 1) // p if d >= 1 else -1
-    for j in sorted(j_set):
-        pref = (2 * phi_c(j)).inv()
-        for k in range(n - 1 - bound, bound + 1):
-            l = n - k - 1
-            if k < l:
-                first, second = module.alg.I(l, p - j), module.alg.I(k, j)
-            else:
-                first, second = module.alg.I(k, j), module.alg.I(l, p - j)
-            tmp = module.act(first, vec)
-            if tmp.is_zero():
-                continue
-            out = out + pref * module.act(second, tmp)
-    return out
+    out = {}
+    for mono, c in vec.terms.items():
+        x = table.intern(mono)
+        for j in sorted(j_set):
+            acc = {}
+            for k in range(n - 1 - bound, bound + 1):
+                l = n - k - 1
+                pair = Gen(KIND_I, k, j), Gen(KIND_I, l, p - j)
+                first, second = pair[::-1] if k < l else pair
+                for z, c1 in module.evaluate(first, x).items():
+                    for z2, c2 in module.evaluate(second, z).items():
+                        acc[z2] = acc.get(z2, 0) + c1 * c2
+            pref = c * (2 * phi_c(j)).inv()
+            for z2, v in acc.items():
+                if v:
+                    m2 = table.monomials[z2]
+                    add_term(out, m2, pref * module.unscaled(v, m2.length() - mono.length() - 2))
+    return ModuleVector(module, out)
 
 
 class OscillatorModule:

@@ -248,6 +248,17 @@ def int_parts(v):
     return v.numerator, 0, v.denominator
 
 
+def cancels(terms):
+    """Whether the terms (a, b, d, key), each (a + b*i)/d at its key, sum to 0 at every key:
+    one running sum while they share a key, else one sum per key."""
+    a, b, den, key = 0, 0, 1, terms[0][3]
+    for ta, tb, td, t in terms:
+        if t != key:
+            return all(cancels([u for u in terms if u[3] == k]) for k in {u[3] for u in terms})
+        a, b, den = a * td + ta * den, b * td + tb * den, den * td
+    return not a and not b
+
+
 def sign_of_real(x):
     """Sign (-1, 0, +1) of a real scalar; raises NotRealError otherwise."""
     a, b, _ = int_parts(x)

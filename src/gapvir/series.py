@@ -14,12 +14,12 @@ for any other convention.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import lcm
 
 from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
-from .scalars import ZERO, Scalar, int_parts, scalar
+from .scalars import ZERO, Scalar, cancels, int_parts, scalar
 
 
 @dataclass(frozen=True)
@@ -121,70 +121,71 @@ class SeriesModule:
                 add_term(out, target, val)
         return out
 
-    def image_table(self, parts=False):
-        """A new memo image(g, v): g v as (coefficient, target), or as (a, b, d, target) with
-        the coefficient's int parts if parts; None when zero."""
-        @cache
-        def image(g, v):
-            coeff, target = self.act_basis(g, *v)
-            if target is not None and coeff:
-                return (*int_parts(coeff), target) if parts else (coeff, target)
-        return image
-
     def axiom_check(self, window):
         """Bracket action equals commutator of actions on a finite window.
 
-        Every (x, y, j, k) of the window is compared, in this order, and the
-        first failure is the witness.  The action is monomial, so each image
-        g v is read from act_basis once per check, as the int parts (a, b, d)
-        of its coefficient and its target; x y v - y x v - [x, y] v is then a
-        sum of at most four terms (a + b i)/d, which must cancel at each target.
-        A column outside col(F) is never tabulated and raises each time.
+        Every (x, y, j, k) of the window is compared, in this order, and the first failure is
+        the witness.  Each image g v is read from act_basis once per check (_Images, and a row
+        per generator on the window's pairs).  Where x comes before y, x y v - y x v - [x, y] v
+        is a sum of at most four terms (a + b i)/d that must cancel.  At (y, x) the commutator
+        is exactly minus that at (x, y), which has passed, and at (x, x) it is 0: the sums left
+        are [x, y] v + [y, x] v, which tests the bracket's antisymmetry, and [x, x] v.
         """
         alg = self.alg
         gens = alg.basis_window(-window, window)
-        image = self.image_table(True)
-        for gx in gens:
-            for gy in gens:
-                bracket = [(h, int_parts(-ch)) for h, ch in alg.bracket_gens(gx, gy)]
-                orders = ((gy, gx, 1), (gx, gy, -1))
-                for j in self.columns:
-                    for k in range(-window, window + 1):
-                        v, terms = (k, j), []
-                        for g1, g2, sign in orders:
-                            first = image(g1, v)
-                            second = first and image(g2, first[3])
-                            if second:
-                                (a, b, d, _), (a2, b2, d2, to) = first, second
-                                terms.append((sign * (a * a2 - b * b2), sign * (a * b2 + b * a2),
-                                              d * d2, to))
-                        for h, (a, b, d) in bracket:
-                            hv = image(h, v)
-                            if hv:
-                                a2, b2, d2, to = hv
-                                terms.append((a * a2 - b * b2, a * b2 + b * a2, d * d2, to))
-                        if terms and not _cancels(terms):
-                            return {"pass": False,
-                                    "witness": {"x": str(gx), "y": str(gy), "k": k, "j": j}}
+        vs = [(k, j) for j in self.columns for k in range(-window, window + 1)]
+        image, rows, earlier = cache(lambda g: _Images(self, g, True)), {}, {}
+        row = lambda g: rows.get(g) or rows.setdefault(g, [image(g)[v] for v in vs])
+        for n, gx in enumerate(gens):
+            for m, gy in enumerate(gens):
+                bracket = alg.bracket_gens(gx, gy)
+                if m > n:
+                    earlier[gx, gy] = bracket
+                    pairs = ((row(gy), image(gx), 1), (row(gx), image(gy), -1))
+                else:  # the commutator is 0, or minus that of (y, x), which is [y, x] v
+                    acc, pairs = {}, ()
+                    for h, c in bracket + earlier.pop((gy, gx), []):
+                        add_term(acc, h, c)
+                    bracket = acc.items()
+                hs = [(row(h), *int_parts(-c)) for h, c in bracket]
+                for i, v in enumerate(vs) if pairs or hs else ():
+                    terms = []
+                    for firsts, outer, sign in pairs:
+                        first = firsts[i]
+                        second = first and outer[first[3]]
+                        if second:
+                            (a, b, d, _), (a2, b2, d2, to) = first, second
+                            terms.append((sign * (a * a2 - b * b2), sign * (a * b2 + b * a2),
+                                          d * d2, to))
+                    for r, a, b, d in hs:
+                        if r[i]:
+                            a2, b2, d2, to = r[i]
+                            terms.append((a * a2 - b * b2, a * b2 + b * a2, d * d2, to))
+                    if terms and not cancels(terms):
+                        return {"pass": False,
+                                "witness": {"x": str(gx), "y": str(gy), "k": v[0], "j": v[1]}}
         return {"pass": True, "witness": None}
 
 
-def _cancels(terms):
-    """Whether the terms (a, b, d, target), each (a + b i)/d at its target, sum to 0 at
-    every target: one sum on a common denominator, or one per target when they differ."""
-    targets = {t[3] for t in terms}
-    if len(targets) > 1:
-        return all(_cancels([t for t in terms if t[3] == to]) for to in targets)
-    a, b, den = 0, 0, 1
-    for ta, tb, td, _ in terms:
-        a, b, den = a * td + ta * den, b * td + tb * den, den * td
-    return not a and not b
+class _Images(dict):
+    """One generator's images g v by pair v, each read from act_basis on first use: (a, b,
+    d, target) with the coefficient's int parts if parts, else (coefficient, target); None
+    when zero.  A column outside col(F) is never stored and raises each time."""
+
+    def __init__(self, module, g, parts):
+        self.act, self.parts = partial(module.act_basis, g), parts
+
+    def __missing__(self, v):
+        coeff, target = self.act(*v)
+        self[v] = None if target is None or not coeff else (
+            (*int_parts(coeff), target) if self.parts else (coeff, target))
+        return self[v]
 
 
 def delta_form_contravariant(module, beta, window):
     """Check <g u, w> = <u, theta(g) w> for the orthonormal delta form.
 
-    g u and theta(g) w are read from one image_table, as in axiom_check; every
+    g u and theta(g) w are read from one table of _Images, as in axiom_check; every
     pair (u, w) is compared.
     """
     alg = module.alg
@@ -193,12 +194,12 @@ def delta_form_contravariant(module, beta, window):
     gens += [alg.I(n, i) for n in range(-window, window + 1)
              for i in range(1, alg.p)]
     basis = [(k, j) for k in range(-window, window + 1) for j in module.columns]
-    image = module.image_table()
+    image = cache(lambda g: _Images(module, g, False))
     for g in gens:
         gh, ch = theta.image_of(g)
-        backs = [image(gh, w) for w in basis]
+        backs = [image(gh)[w] for w in basis]
         for u in basis:
-            img = image(g, u)
+            img = image(g)[u]
             for w, back in zip(basis, backs):
                 lhs = img[0] if img and img[1] == w else ZERO
                 if lhs != ((ch * back[0]).conj() if back and back[1] == u else ZERO):

@@ -14,15 +14,19 @@ element.  ``working_copy`` and ``row_reduce`` are the Fraction (or Scalar)
 reduced row echelon form, pivoting on the entry of fewest bits, that the
 library's rank and nullspace ran before they eliminated fraction-free.
 ``kac_wall_inertia`` classifies the Kac walls on Scalars through kac_factor
-and phi_virasoro.  ``apply_involution`` and
-``chevalley`` extend an anti-involution and the Chevalley automorphism to
-elements of the algebra.  ``definiteness`` is the LDL* the library ran
-before it eliminated the scaled integer rows: on Fractions for a real matrix,
-on Scalars otherwise, updating the upper triangle with exact Schur
-complements, so its pivots, witness and inertia are the ones the
-fraction-free elimination must reproduce.  ``FractionScalar`` is the
-library's Scalar as it was when it stored a pair of Fractions; the
-differential test checks every operation of Scalar against it.
+and phi_virasoro.  ``split_terms`` is the character walk that split element
+texts, ``sugawara_sum`` the quadratic part of L_n applied one mode pair at a
+time through ``VermaModule.act``, and ``sugawara_checks`` the relation loop
+over every ordered (m, n).
+``apply_involution`` and ``chevalley`` extend an anti-involution and the
+Chevalley automorphism to elements of the algebra.  ``definiteness`` is the
+LDL* the library ran before it eliminated the scaled integer rows: on
+Fractions for a real matrix, on Scalars otherwise, updating the upper
+triangle with exact Schur complements, so its pivots, witness and inertia
+are the ones the fraction-free elimination must reproduce.
+``FractionScalar`` is the library's Scalar as it was when it stored a pair
+of Fractions; the differential test checks every operation of Scalar
+against it.
 """
 
 import re
@@ -365,6 +369,65 @@ def involution_axiom_report(alg, theta, lo=-4, hi=4):
             if _involution(theta, _bracket(alg, x, y)) != _bracket(alg, _involution(theta, y), tx):
                 checks["antiMultiplicative"] = False
     return checks
+
+
+def split_terms(s):
+    """algebra._split_terms as a walk over the characters: split on ' + ' only where the
+    parentheses opened so far are all closed."""
+    parts = []
+    depth = 0
+    cur = []
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth == 0 and s.startswith(" + ", i):
+            parts.append("".join(cur))
+            cur = []
+            i += 3
+            continue
+        cur.append(ch)
+        i += 1
+    parts.append("".join(cur))
+    return [t for t in (t.strip() for t in parts) if t]
+
+
+def sugawara_checks(osc, window, max_level):
+    """The sugawara-check relation list, one virasoro_relation_check per ordered (m, n) of
+    the mode window, the diagonal and both orders of each pair included."""
+    from gapvir.oscillator import virasoro_relation_check
+
+    checks = []
+    for m in range(-window, window + 1):
+        for n in range(-window, window + 1):
+            rep = virasoro_relation_check(osc, m, n, max_level)
+            checks.append({k: rep[k] for k in ("m", "n", "maxLevel", "pass")})
+    return checks, all(c["pass"] for c in checks)
+
+
+def sugawara_sum(module, j_set, phi_c, n, vec):
+    """oscillator.sugawara_sum applying each mode pair with module.act, term by term."""
+    p = module.alg.p
+    out = ModuleVector(module)
+    if vec.is_zero():
+        return out
+    d = vec.max_plevel()
+    bound = (d - 1) // p if d >= 1 else -1
+    for j in sorted(j_set):
+        pref = (2 * phi_c(j)).inv()
+        for k in range(n - 1 - bound, bound + 1):
+            l = n - k - 1
+            if k < l:
+                first, second = module.alg.I(l, p - j), module.alg.I(k, j)
+            else:
+                first, second = module.alg.I(k, j), module.alg.I(l, p - j)
+            tmp = module.act(first, vec)
+            if not tmp.is_zero():
+                out = out + pref * module.act(second, tmp)
+    return out
 
 
 def theta_tilde_apply(module, theta, mono, vec):
