@@ -9,9 +9,9 @@ style): with y = f y', (g, c) = theta(f) and d' the p-level of y', the column
 of G_d at y is c * sum_z act_gen(g, x)[z] * G_{d'}[z, y'] over the level-d'
 basis z, for each x of level d, by associativity.  VermaModule.level's plan
 gives the columns led by f as one run whose tails y' end level d', so each
-(g, x) is read once, by id, from VermaModule.evaluate into a row slice.
-Every level below d is built once and cached on the module, by theta and
-then level; the tests keep the per-entry route as the independent reference.
+(g, x) entry of the weight-free table is read once, by id, its terms summed
+straight into the rows.  Levels below d are built once and cached on the
+module by theta's identity; the tests keep per-entry and evaluate references.
 The recursion runs on verma's rescaled monomials x' = K^|x| x, so the cached
 rows are G' = D G D, D = diag(K^|x|): ints for a real weight and theta
 coefficients +-1.  A positive diagonal congruence keeps hermiticity, inertia
@@ -25,7 +25,8 @@ off-diagonal one does not, the first such pair (i, j), i < j, gives a 2x2
 principal block [[0,g],[g*,0]] with one positive and one negative inertia
 count, which leading principal minors alone would miss.  Sylvester's law
 turns the exact pivot signs into an exact inertia triple (verdict_kind).
-The elimination runs on G' itself, fraction-free on linalg.cleared rows: a
+Int rows are Hermitian when they equal their transpose, and other rows are
+linalg.cleared.  The elimination runs on G' itself, fraction-free: a
 pivot d sets row r to |d| row_r - sgn(d) a_rb row_b, a 2x2 block to
 a_ij a_ji row_r - a_ri a_ij row_j - a_rj a_ji row_i, and linalg.primitive
 divides out the row's gcd.  Each step scales a row of the Schur complement
@@ -65,9 +66,11 @@ classifier kac_wall_inertia shares.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from itertools import chain
+from math import gcd, inf
+from operator import eq
 
-from .algebra import AntiInvolution
+from .algebra import AntiInvolution, bracket_scaled
 from .errors import GramIntegrityError, UnsupportedInvolutionError
 from .linalg import cleared, primitive
 from .oscillator import shifted_weight, virasoro_weight
@@ -135,49 +138,46 @@ class DefinitenessVerdict:
 def gram(module, theta, d):
     """Gram matrix of the level-d basis for the contravariant form of theta."""
     if theta.kind != "plus":
-        raise UnsupportedInvolutionError(
-            "contravariant Gram forms need a plus-type involution")
-    levels, images = module._gram_cache.setdefault(theta, ([], {}))
+        raise UnsupportedInvolutionError("contravariant Gram forms need a plus-type involution")
+    cache, key = module._gram_cache, id(theta)  # by identity; the entry holds theta
+    _, levels, images = cache.get(key) or cache.setdefault(key, (theta, [], {}))
     while len(levels) <= d:
         levels.append(_gram_level(module, theta, levels, images))
     return GramMatrix(d, module.pbw_basis(d), levels[d], theta, module)
 
 
 def _gram_level(module, theta, levels, images):
-    """Rows of the rescaled Gram matrix G' at level d = len(levels), by the module docstring.
-
-    levels holds the rows of levels 0..d-1, and images theta's image of each
-    leading factor met so far.
-    """
-    d = len(levels)
-    if not d:
+    """Rows of the rescaled Gram matrix G' at level d = len(levels), by the module docstring,
+    from those of levels 0..d-1 and the images of the leading factors met so far."""
+    if not (d := len(levels)):
         return [[1]]
     ids, _, groups = module.level(d)
-    rows, evaluate = [[0] * len(ids) for _ in ids], module.evaluate
+    rows, table, factor = [[0] * len(ids) for _ in ids], module.table, module._factor
     for f, lower_level, b0, b1 in groups:
-        if f not in images:
+        if f not in images:  # (g, c) = theta(f), c an int when it is one, and g's entries
             g, c = theta.image_of(f)
-            if int_parts(c)[1:] == (0, 1):  # an int c keeps int rows int
-                c = int_parts(c)[0]
-            images[f] = g, c
-        g, c = images[f]
+            a, b, den = int_parts(c)
+            images[f] = g, a if (b, den) == (0, 1) else c, module.entries(g)
+        g, c, entries = images[f]
+        if entries is None:  # g acts as 0 on this sector
+            continue
         lower, index = levels[lower_level], module.level(lower_level)[1]
         j0 = len(lower) - (b1 - b0)
         if b1 - b0 == 1:  # most groups: one column, summed without lists
             for row, x in zip(rows, ids):
-                s = 0
-                for z, cz in evaluate(g, x).items():
-                    if e := lower[index[z]][j0]:
-                        s = s + cz * e
+                s, it = 0, iter(entries.get(x) or table.action(g, x))
+                for zr, a in zip(it, it):
+                    if e := lower[index[zr >> 32]][j0]:
+                        s = s + a * factor[zr & 0xFFFFFFFF] * e
                 if s:
                     row[b0] = c * s
             continue
         for row, x in zip(rows, ids):
-            sums = None
-            for z, cz in evaluate(g, x).items():
-                tails = lower[index[z]][j0:]
-                sums = ([cz * e if e else 0 for e in tails] if sums is None
-                        else [s + cz * e if e else s for s, e in zip(sums, tails)])
+            sums, it = None, iter(entries.get(x) or table.action(g, x))
+            for zr, a in zip(it, it):
+                v, tails = a * factor[zr & 0xFFFFFFFF], lower[index[zr >> 32]][j0:]
+                sums = ([v * e if e else 0 for e in tails] if sums is None
+                        else [s + v * e if e else s for s, e in zip(sums, tails)])
             if sums:
                 row[b0:b1] = [c * s if s else 0 for s in sums]
     return rows
@@ -185,85 +185,80 @@ def _gram_level(module, theta, levels, images):
 
 def definiteness(g):
     """Exact definiteness verdict for a Hermitian Gram matrix, by the module docstring's LDL*."""
-    if not g.is_hermitian():
+    rows = g.rows  # int rows are Hermitian when they equal their transpose
+    ints = {int}.issuperset(map(type, chain.from_iterable(rows)))  # stops at the first non-int
+    if not (all(map(eq, zip(*rows), map(tuple, rows))) if ints else g.is_hermitian()):
         raise GramIntegrityError("gram matrix is not Hermitian")
-    gaussian = any(type(v) is Scalar and int_parts(v)[1] for row in g.rows for v in row)
-    # a[r] is a positive multiple of row r of the Schur complement of rows;
-    # a[r][r] is s[r] times G's own Schur diagonal; idx[r] is position r's basis index
-    a, s = [], []
-    for x, row in zip(g.basis, g.rows):
-        row, den = cleared(row, gaussian)
+    gaussian = not ints and any(type(v) is Scalar and int_parts(v)[1] for row in rows for v in row)
+    # a[r] is a positive multiple of row r of the Schur complement of rows, a[r][r] s[r] times
+    # G's own Schur diagonal, sizes[r] that diagonal's _pivot_size, idx[r] its basis index
+    a, s, sizes, k2 = [], [], [], 1 if g.module is None else g.module.scale ** 2
+    for r, (x, row) in enumerate(zip(g.basis, rows)):
+        row, num = (list(row), 1) if ints else cleared(row, gaussian)
+        num = num if g.module is None else num * k2 ** x.length()
         a.append(row)
-        s.append((den if g.module is None else den * g.module.scale ** (2 * x.length()), 1))
+        s.append((num, 1))
+        sizes.append(_pivot_size(int_parts(row[r])[0] if gaussian else row[r], s[r]))
     idx = list(range(len(a)))
-    sizes = [_pivot_size(row[r], s[r]) for r, row in enumerate(a)]
-
-    def renew(r, row, mult):
-        row, c = primitive(row, gaussian)
-        a[r] = row
-        if c:  # s[r] times mult / c, reduced by one gcd: every factor is positive
-            num, den = s[r][0] * mult, s[r][1] * c
-            e = gcd(num, den)
-            s[r] = num // e, den // e
-        sizes[r] = _pivot_size(row[r], s[r])
-
     n_pos = n_neg = n_zero = 0
     trail, witness = [], ()
     while a:
-        live = [r for r, size in enumerate(sizes) if size is not None]
-        if live:
-            b = min(live, key=sizes.__getitem__)
+        size, pair = min(sizes), None
+        if size == inf:  # every diagonal vanishes: the first nonzero (i, j), i < j
+            pair = next(((i, j) for i, r in enumerate(a) for j in range(i + 1, len(a)) if r[j]),
+                        None)
+            if pair is None:
+                n_zero = len(a)
+                break
+            i, j = pair
+            n_pos, n_neg = n_pos + 1, n_neg + 1
+            witness = witness or (idx[i], idx[j])
+            row_j, row_i = a.pop(j), a.pop(i)
+            del idx[j], idx[i], s[j], s[i], sizes[j], sizes[i]
+            g_ij, g_ji = row_i[j], row_j[i]
+            m = int_parts(g_ij * g_ji)[0] if gaussian else g_ij * g_ji
+            del row_i[j], row_i[i], row_j[j], row_j[i]
+        else:  # the lowest index of fewest bits
+            b = sizes.index(size)
             pivot = a.pop(b)
             trail.append(idx.pop(b))
             del s[b], sizes[b]
-            d = _integer(pivot.pop(b))
+            d = int_parts(pivot.pop(b))[0] if gaussian else pivot.pop(b)
             n_pos, n_neg = (n_pos + 1, n_neg) if d > 0 else (n_pos, n_neg + 1)
             m = abs(d)
-            for r, row in enumerate(a):
-                f = row.pop(b)
-                if f:
-                    f = f if d > 0 else -f
-                    renew(r, [m * x - f * y for x, y in zip(row, pivot)], m)
-            if not witness and n_pos and n_neg:
-                witness = tuple(trail)
-            continue
-        # all remaining diagonals vanish
-        pair = next(((i, j) for i, r in enumerate(a) for j in range(i + 1, len(a)) if r[j]), None)
-        if pair is None:
-            n_zero += len(a)
-            break
-        i, j = pair
-        n_pos, n_neg = n_pos + 1, n_neg + 1
-        if not witness:
-            witness = (idx[i], idx[j])
-        row_j, row_i = a.pop(j), a.pop(i)
-        del idx[j], idx[i], s[j], s[i], sizes[j], sizes[i]
-        g_ij, g_ji = row_i[j], row_j[i]
-        prod = _integer(g_ij * g_ji)
-        del row_i[j], row_i[i], row_j[j], row_j[i]
-        for r, row in enumerate(a):
-            f_j, f_i = row.pop(j), row.pop(i)
-            if f_i or f_j:
+            witness = witness or (tuple(trail) if n_pos and n_neg else ())
+        for r, row in enumerate(a):  # row becomes m row - (the pivots' share), over its content
+            if pair:
+                f_j, f_i = row.pop(j), row.pop(i)
+                if not (f_i or f_j):
+                    continue
                 u, w = f_i * g_ij, f_j * g_ji
-                renew(r, [prod * x - u * y - w * z for x, y, z in zip(row, row_j, row_i)], prod)
+                row = [m * x - u * y - w * z for x, y, z in zip(row, row_j, row_i)]
+            else:
+                f = row.pop(b)
+                if not f:
+                    continue
+                f = f if d > 0 else -f
+                row = [m * x - f * y for x, y in zip(row, pivot)]
+            row, c = primitive(row, gaussian)
+            a[r] = row
+            if c:  # every factor is positive, so one gcd reduces the pair
+                num, den = s[r][0] * m, s[r][1] * c
+                e = gcd(num, den)
+                s[r] = num // e, den // e
+            sizes[r] = _pivot_size(int_parts(row[r])[0] if gaussian else row[r], s[r])
     inertia = (n_pos, n_neg, n_zero)
     kind = verdict_kind(inertia)
     return DefinitenessVerdict(kind, witness if kind == INDEFINITE else (), inertia)
 
 
 def _pivot_size(v, s):
-    """Bits of the diagonal v / s, s a reduced pair (num, den), for the pivot rule; None at 0."""
+    """Bits of the diagonal v / s, v an int, s a reduced pair (num, den), for the pivot rule."""
     if not v:
-        return None
+        return inf
     num, den = s
-    v = _integer(v)
     c = gcd(v, num)
     return (v // c * den).bit_length() + (num // c).bit_length()
-
-
-def _integer(v):
-    """An int, or a real Gaussian integer as an int."""
-    return int_parts(v)[0] if type(v) is Scalar else v
 
 
 def verdict_kind(inertia):
@@ -299,14 +294,13 @@ def fock_sign_counts(module, theta, max_level):
     and a monomial's norm is a positive multiple of its factors' product, so a
     partition DP over the factor sizes counts the monomials of each sign.
     """
-    alg, p = module.alg, module.alg.p
+    alg, p, hw = module.alg, module.alg.p, module.hw
     parts = []
     for s in module._part_sizes(max_level):
         i = -s % p  # the factor of size s = m p - i
         f = alg.I(-((s + i) // p), i)
-        g, c = theta.image_of(f)
-        norm = sum((c * coeff * module.hw.c_value(h.n) for h, coeff in alg.bracket_gens(g, f)),
-                   ZERO)
+        g, c = theta.image_of(f)  # the norm c [g, f], times 2p by bracket_scaled
+        norm = c * sum((k * hw.c_value(h.n) for h, k in bracket_scaled(p, g, f)), ZERO)
         parts.append((s, sign_of_real(norm) < 0))
     return _signed_partition_counts(parts, max_level)
 

@@ -40,10 +40,12 @@ def virasoro_weight(p, h, c):
 
 
 def shifted_weight(hw):
-    """psi, the Virasoro factor's weight: C_0 less |J|, L_0 less gap_weight_sum(J)."""
-    j_set = hw.j_set()
-    return virasoro_weight(hw.p, hw.l0 - gap_weight_sum(hw.p, j_set),
-                           hw.c_value(0) - len(j_set))
+    """psi, the Virasoro factor's weight: C_0 less |J|, L_0 less gap_weight_sum(J), kept on hw."""
+    if "_psi" not in vars(hw):  # hw is frozen, and _psi is no field of it
+        j_set = hw.j_set()
+        object.__setattr__(hw, "_psi", virasoro_weight(
+            hw.p, hw.l0 - gap_weight_sum(hw.p, j_set), hw.c_value(0) - len(j_set)))
+    return hw._psi
 
 
 def sugawara_sum(module, j_set, phi_c, n, vec):

@@ -140,6 +140,8 @@ class Scalar:
         return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
+        if type(other) is int:  # no Scalar made for the int
+            return Scalar(self._a * other, self._b * other, self._d)
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented

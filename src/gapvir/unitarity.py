@@ -30,14 +30,14 @@ beta takes the full Gram route at every level.
 """
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 
 from .algebra import AntiInvolution, check_beta
 from .errors import ConfigError, GramIntegrityError
 from .forms import (PD, PSD_SINGULAR, definiteness, gram, split_check_level, split_inertia,
                     verdict_kind)
 from .oscillator import gap_weight_sum, shifted_weight
-from .scalars import Scalar, scalar, sign_of_real
+from .scalars import Scalar, int_parts, scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
 from .verma import HighestWeight, VermaModule
 
@@ -81,17 +81,17 @@ def discrete_series_match(hw):
     only candidates, and each counts only if its equation holds exactly.
     """
     psi = shifted_weight(hw)
-    c, h = psi.c_value(0), psi.l0
-    if not (c.is_real() and h.is_real()) or c.re >= 1:
+    (c, c_im, c_den), (h, h_im, h_den) = int_parts(psi.c_value(0)), int_parts(psi.l0)
+    if c_im or h_im or c >= c_den:  # c' = c / c_den >= 1
         return None
-    m = (isqrt(floor(24 / (1 - c.re) + 1)) - 1) // 2  # 4N + 1 = (2m + 1)^2
+    m = (isqrt(24 * c_den // (c_den - c) + 1) - 1) // 2  # 4N + 1 = (2m + 1)^2
     n = m * (m + 1)
-    square = 4 * n * h.re + 1
-    if m < 2 or c.re != 1 - Fraction(6, n) or square < 0:
+    square = 4 * n * h + h_den  # 4N h' + 1, times h_den
+    if m < 2 or c * n != (n - 6) * c_den or square < 0:
         return None
-    k = isqrt(floor(square))
+    k = isqrt(square // h_den)
     r, s = divmod(k, m)
-    return {"m": m, "r": r, "s": s} if k * k == square and r < s else None
+    return {"m": m, "r": r, "s": s} if k * k * h_den == square and r < s else None
 
 
 def highest_weight_unitary(hw, beta):

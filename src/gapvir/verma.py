@@ -39,7 +39,6 @@ as they stand, which differ from the unscaled ones by row and column factors.
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from math import lcm
 
@@ -190,6 +189,17 @@ class Straightening:
 _TABLES = {}  # p -> Straightening, filled on first use
 
 
+class _Factors(dict):
+    """u_j k^q at r = q len(u) + j (Straightening), for one module, each made on first read."""
+
+    def __init__(self, u, k):
+        self.u, self.k = u, k
+
+    def __missing__(self, r):
+        value = self[r] = self.u[r % len(self.u)] * self.k ** (r // len(self.u))
+        return value
+
+
 @dataclass(frozen=True)
 class Sector:
     """Which lowering generators a Verma sub-case uses.
@@ -321,10 +331,9 @@ class VermaModule:
         self.table = _TABLES.get(alg.p) or _TABLES.setdefault(alg.p, Straightening(alg.p))
         u = (1,) + tuple(Scalar(a * (self.scale // d), b * (self.scale // d)) if b
                          else a * (self.scale // d) for a, b, d in map(int_parts, (hw.l0,) + hw.c))
-        k = self.scale // (2 * alg.p)  # u = (1, W); r = q w + j names u_j k^q (Straightening)
-        self._factor = cache(lambda r: u[r % len(u)] * k ** (r // len(u)))
+        self._factor = _Factors(u, self.scale // (2 * alg.p))  # u = (1, W)
         self._act_cache = {}  # (g, monomial id) -> act_gen(g, monomial)
-        self._gram_cache = {}  # theta -> (Gram rows of levels 0, 1, ..., images), by forms.gram
+        self._gram_cache = {}  # id(theta) -> (theta, Gram rows by level, images), by forms.gram
         self._bases = self.table.bases.setdefault(self.sector, [[EMPTY_MONOMIAL]])
         self._plans = self.table.plans.setdefault(self.sector, {})
 
@@ -405,20 +414,27 @@ class VermaModule:
             hit = self._act_cache[key] = {monomials[z]: c for z, c in self.evaluate(*key).items()}
         return hit
 
-    def evaluate(self, g, x):
-        """The table's entry of g on the id x at this module's k and W, as {z id: entry}."""
+    def entries(self, g):
+        """g's table entries {x id: entry}; None for an I outside the sector, which acts as 0."""
         if g.kind == KIND_L and not self.sector.include_l:
             raise ConfigError("L-generators do not act on this sector")
         if g.kind == KIND_I and g.i not in self.sector.i_indices:
+            return None
+        return self.table._actions[g]
+
+    def evaluate(self, g, x):
+        """The table's entry of g on the id x at this module's k and W, as {z id: entry}."""
+        entries = self.entries(g)
+        if entries is None:
             return {}
-        entry, factor = self.table._actions[g].get(x) or self.table.action(g, x), self._factor
+        entry, factor = entries.get(x) or self.table.action(g, x), self._factor
         if len(entry) == 2:  # one term, the common case
-            c = entry[1] * factor(entry[0] & 0xFFFFFFFF)
+            c = entry[1] * factor[entry[0] & 0xFFFFFFFF]
             return {entry[0] >> 32: c} if c else {}
         out, it = {}, iter(entry)
         for zr, c in zip(it, it):
             z = zr >> 32
-            out[z] = out.get(z, 0) + c * factor(zr & 0xFFFFFFFF)
+            out[z] = out.get(z, 0) + c * factor[zr & 0xFFFFFFFF]
         return out if all(out.values()) else {z: c for z, c in out.items() if c}
 
     def level(self, d):

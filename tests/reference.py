@@ -19,11 +19,15 @@ texts, ``sugawara_sum`` the quadratic part of L_n applied one mode pair at a
 time through ``VermaModule.act``, and ``sugawara_checks`` the relation loop
 over every ordered (m, n).
 ``apply_involution`` and ``chevalley`` extend an anti-involution and the
-Chevalley automorphism to elements of the algebra.  ``definiteness`` is the
-LDL* the library ran before it eliminated the scaled integer rows: on
-Fractions for a real matrix, on Scalars otherwise, updating the upper
-triangle with exact Schur complements, so its pivots, witness and inertia
-are the ones the fraction-free elimination must reproduce.
+Chevalley automorphism to elements of the algebra.
+``discrete_series_match`` solves for a discrete-series point on Fractions.
+``gram_rows`` is the recursive Gram assembly reading each (g, x) through
+``VermaModule.evaluate``'s {z id: value} dict, which the table-direct rows
+must equal.  ``definiteness`` is the LDL* the library ran before it
+eliminated the scaled integer rows: on Fractions for a real matrix, on
+Scalars otherwise, updating the upper triangle with exact Schur complements,
+so its pivots, witness and inertia are the ones the fraction-free
+elimination must reproduce.
 ``FractionScalar`` is the library's Scalar as it was when it stored a pair
 of Fractions; the differential test checks every operation of Scalar
 against it.
@@ -32,6 +36,7 @@ against it.
 import re
 import weakref
 from fractions import Fraction
+from math import floor, isqrt
 
 from gapvir.algebra import KIND_C, KIND_I, KIND_L, AntiInvolution, Element, Gen, add_term
 from gapvir.errors import ConfigError, ScalarParseError
@@ -39,7 +44,8 @@ from gapvir.errors import GramIntegrityError
 from gapvir.forms import (INDEFINITE, DefinitenessVerdict, _signed_partition_counts, kac_factor,
                           phi_virasoro, verdict_kind)
 from gapvir.linalg import entry_size, nullspace
-from gapvir.scalars import ONE, ZERO, Scalar, scalar
+from gapvir.oscillator import shifted_weight
+from gapvir.scalars import ONE, ZERO, Scalar, int_parts, scalar
 from gapvir.verma import EMPTY_MONOMIAL, ModuleVector, PBWMonomial, partition_count
 
 _memos = weakref.WeakKeyDictionary()  # module -> {(g, mono): {mono: Scalar}}
@@ -451,6 +457,46 @@ def pairing(module, theta, u, w):
         if coeff:
             total = total + c.conj() * coeff
     return total
+
+
+def gram_rows(module, theta, d):
+    """Rows of G' at levels 0..d, each (g, x) read through VermaModule.evaluate."""
+    levels = [[[1]]]
+    for e in range(1, d + 1):
+        ids, _, groups = module.level(e)
+        rows = [[0] * len(ids) for _ in ids]
+        for f, lower_level, b0, b1 in groups:
+            g, c = theta.image_of(f)
+            if int_parts(c)[1:] == (0, 1):  # an int c keeps int rows int
+                c = int_parts(c)[0]
+            lower, index = levels[lower_level], module.level(lower_level)[1]
+            j0 = len(lower) - (b1 - b0)
+            for row, x in zip(rows, ids):
+                sums = None
+                for z, cz in module.evaluate(g, x).items():
+                    tails = lower[index[z]][j0:]
+                    sums = ([cz * t if t else 0 for t in tails] if sums is None
+                            else [s + cz * t if t else s for s, t in zip(sums, tails)])
+                if sums:
+                    row[b0:b1] = [c * s if s else 0 for s in sums]
+        levels.append(rows)
+    return levels
+
+
+def discrete_series_match(hw):
+    """unitarity.discrete_series_match on Fractions, as the library solved it before ints."""
+    psi = shifted_weight(hw)
+    c, h = psi.c_value(0), psi.l0
+    if not (c.is_real() and h.is_real()) or c.re >= 1:
+        return None
+    m = (isqrt(floor(24 / (1 - c.re) + 1)) - 1) // 2  # 4N + 1 = (2m + 1)^2
+    n = m * (m + 1)
+    square = 4 * n * h.re + 1
+    if m < 2 or c.re != 1 - Fraction(6, n) or square < 0:
+        return None
+    k = isqrt(floor(square))
+    r, s = divmod(k, m)
+    return {"m": m, "r": r, "s": s} if k * k == square and r < s else None
 
 
 def chevalley(alg, x):

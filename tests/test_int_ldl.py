@@ -75,6 +75,29 @@ def test_definiteness_matches_the_reference_on_seeded_matrices():
             for v in (PD, PSD_SINGULAR, INDEFINITE)} <= kinds
 
 
+def test_definiteness_matches_the_reference_on_seeded_matrices_to_dim_12():
+    # the dims the oracle's levels reach (11) and one beyond, in every seeded shape
+    rng = random.Random(2912)
+    dims = set()
+    for case in range(150):
+        n = rng.randint(1, 12)
+        kind = ("int", "fraction", "gaussian")[case % 3]
+        if kind == "int":
+            rows = symmetric(rng, n, lambda: rng.randint(-99, 99))
+        else:
+            rows = symmetric(rng, n,
+                             lambda: Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 8, 25))))
+        if kind == "gaussian":
+            unit = [scalar(rng.choice(UNIT_GAUSSIAN)) for _ in range(n)]
+            rows = [[unit[a] * rows[a][b] * unit[b].conj() for b in range(n)] for a in range(n)]
+        g = GramMatrix(0, list(range(n)), rows, None)
+        got = outcome(definiteness, g)
+        assert got == outcome(reference.definiteness, g), (kind, rows)
+        assert sum(got[1]) == n
+        dims.add(n)
+    assert dims == set(range(1, 13))
+
+
 def zero_diagonal_pairs():
     # every diagonal vanishes: 2x2 steps first, then the 1x1 steps they leave
     yield [[0, 2, 1], [2, 0, 3], [1, 3, 0]]
