@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import ConfigError
-from .scalars import ONE, Scalar, cancels, int_parts, scalar
+from .scalars import ONE, Scalar, cancels, int_parts, named_scalar, scalar
 
 KIND_L = "L"
 KIND_I = "I"
@@ -215,7 +215,7 @@ def check_beta(p, beta):
     """Coerce a list of p-1 involution parameters with conj(beta_i) beta_{p-i} = 1, or raise."""
     if not isinstance(beta, (list, tuple)):
         raise ConfigError("beta must be a list of %d values" % (p - 1))
-    beta = [scalar(b) for b in beta]
+    beta = [named_scalar(b, "beta_%d", i) for i, b in enumerate(beta, 1)]
     if len(beta) != p - 1:
         raise ConfigError("need %d beta values" % (p - 1))
     for i in range(1, p):

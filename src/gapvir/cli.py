@@ -32,7 +32,7 @@ from .oscillator import OscillatorModule, virasoro_relation_check
 from .scalars import Scalar, scalar
 from .series import FMatrix, SeriesModule, series_predicates
 from .unitarity import classify, unitarity_verdict
-from .verma import HighestWeight, Sector, VermaModule, indexed_values, partition_count
+from .verma import HighestWeight, Sector, VermaModule, indexed_values, part_counts, partition_count
 
 SCHEMA = "gapvir/1"
 DEFAULT_MAX_LEVEL_GUARD = 24
@@ -185,10 +185,7 @@ def _work(args):
     elif cmd == "series-check":  # F's checks, the axiom window and the delta form
         steps += 3 * ((2 * args.window + 1) ** 3 + 344) * p ** 3
     elif cmd == "sugawara-check":  # each (m, n) on every Fock vector up to max_level
-        dims = [1] + [0] * top  # Fock(J) for J = {1..p-1}: factor sizes not divisible by p
-        for s in range(1, top + 1):
-            for d in range(s, top + 1) if s % p else ():
-                dims[d] += dims[d - s]
+        dims = part_counts((s for s in range(1, top + 1) if s % p), top)  # Fock(J), J = {1..p-1}
         w = 2 * args.mode_window + 1
         steps += 10 * (p - 1) * w * w * (w + 4) * sum(dims)
     elif cmd == "kac-scan":  # each weight: its [a, b] with ab <= max_ab, its singular counts
@@ -219,10 +216,7 @@ def _resolve(args, extras):
             raw = default
         if raw is None:
             continue
-        try:
-            value = kind(str(raw))
-        except ValueError as exc:
-            raise GapVirError("%s %s: %s" % (name, raw, exc)) from None
+        value = _parsed(name, str(raw), kind)
         if choices and value not in choices:
             raise GapVirError("%s %s: choose from %s" % (name, raw, ", ".join(choices)))
         if low is not None and value < low:
@@ -231,10 +225,7 @@ def _resolve(args, extras):
             # --p is resolved first; kac-scan counts Virasoro levels, p p-levels each
             scaled = value * args.p if level == "virasoro" else value
             env = os.environ.get("GAPVIR_MAX_LEVEL", str(DEFAULT_MAX_LEVEL_GUARD))
-            try:
-                guard = _int(env)
-            except ValueError as exc:
-                raise GapVirError("GAPVIR_MAX_LEVEL %s: %s" % (env, exc)) from None
+            guard = _parsed("GAPVIR_MAX_LEVEL", env, _int)
             if scaled > guard:
                 raise GapVirError("%s %s: p-level %d is over the guardrail %d (set "
                                   "GAPVIR_MAX_LEVEL to raise it)" % (name, raw, scaled, guard))

@@ -44,19 +44,30 @@ inertia is a count by sign (fock_sign_counts); kac_wall_inertia decides the
 Virasoro levels (multiples of p) where psi is off every Kac wall, and only
 the others run an LDL*.
 
-reducibility_report decides every weight on the full sector by the split.
-J is symmetric, so [I^j, I^i] = 0 for j in J and i not in J: the
-Sugawara-shifted L commutes with Fock(J), and the module is Fock(J) (x)
-M_rest(psi), M_rest the Verma module of psi's complement sector (L and the
-I^i with i not in J).  Fock(J) is irreducible, so the singular count at every
-level, VermaModule.singular_count (the level's dimension less the integer
-rank of the K-scaled raising rows), is that of M_rest(psi), for any weight.
-For a real weight, gramKernel and verdict come from split_inertia; a complex
-weight has no Gram fields.  The brute routes (the full Gram matrix, the full
-module's singular count) re-derive the levels up to split_check_level, and
-crossCheck records whether the routes agree (singular counts alone for a
-complex weight); the CLI exits 1 when they do not.  The restricted sectors
-stay brute.
+routed_inertia is the one place a level's route is chosen, for
+unitarity_oracle and reducibility_report alike, with alpha = 1.  On the full
+sector, for a real weight and real beta, every level takes the split:
+"kac-wall" on a level d >= p whose Virasoro levels 1..d // p the walls
+certify, "split" on the others.  The full Gram route then re-derives every
+level up to split_check_level, those whose full dimension is at most that of
+the largest Virasoro-sector level the split eliminated, and the caller's
+crossCheck records whether the two agree; the CLI exits 1 when they do not.
+Any other sector, weight or beta takes the "full" route at every level.  A
+level whose full Gram matrix is not Hermitian has inertia None: no
+contravariant Hermitian form exists for that weight and involution, which
+settles a unitarity verdict negatively just as a negative eigenvalue would.
+
+reducibility_report routes a real weight's gramKernel and verdict so; a
+complex weight has no Gram fields and builds no Gram matrix.  J is
+symmetric, so [I^j, I^i] = 0 for j in J and i not in J: the Sugawara-shifted
+L commutes with Fock(J), and the module is Fock(J) (x) M_rest(psi), M_rest
+the Verma module of psi's complement sector (L and the I^i with i not in J).
+Fock(J) is irreducible, so the singular count at every level,
+VermaModule.singular_count (the level's dimension less the integer rank of
+the K-scaled raising rows), is that of M_rest(psi), for any weight.  On the
+full sector crossCheck also compares the full module's singular counts up to
+split_check_level (alone, for a complex weight); a restricted sector takes
+its own counts and has no crossCheck.
 
 The closed forms are Virasoro statements: phi_virasoro is built from two
 kac_factor values.  kac_zeros scans for its zeros, run at (h, c) by kac_scan
@@ -371,6 +382,27 @@ def split_check_level(p, max_level):
     return top
 
 
+def routed_inertia(module, theta, max_level):
+    """(inertia, route) at levels 0..max_level, inertia None where the form is not Hermitian,
+    and after a split the full route's inertia at levels 0..split_check_level, else None:
+    the routes of the module docstring, for a theta with alpha = 1."""
+    alg, hw, p = module.alg, module.hw, module.alg.p
+    if module.sector == Sector.full(p) and hw.is_real() and all(b.is_real() for b in theta.beta):
+        # Virasoro levels 1..certified-1 are certified; a level below p has none to certify
+        levels, certified = split_inertia(alg, hw, theta, max_level)
+        top = split_check_level(p, max_level)
+        return ([(inertia, "kac-wall" if 1 <= d // p < certified else "split")
+                 for d, inertia in enumerate(levels)],
+                [_full_inertia(module, theta, d) for d in range(top + 1)])
+    return [(_full_inertia(module, theta, d), "full") for d in range(max_level + 1)], None
+
+
+def _full_inertia(module, theta, d):
+    try:
+        return definiteness(gram(module, theta, d)).inertia
+    except GramIntegrityError:
+        return None
+
 # -- closed-form Gram factors -----------------------------------------------
 
 
@@ -419,33 +451,25 @@ def _kac_walls(h, c, pairs):
 
 
 def reducibility_report(module, max_level, max_ab=None):
-    """Level-by-level singular-vector and Gram-kernel scan, routed as in the module docstring.
-
-    crossCheck is None on a restricted sector; a complex weight has no Gram
-    fields.
-    """
+    """Level-by-level singular-vector and Gram-kernel scan, routed as in the module docstring."""
     hw, alg, p = module.hw, module.alg, module.alg.p
-    theta = AntiInvolution.plus(p)
     full = module.sector == Sector.full(p)
-    if full and hw.is_real():
-        inertia = split_inertia(alg, hw, theta, max_level)[0]
-    elif hw.is_real():
-        inertia = [_brute_inertia(module, theta, d) for d in range(max_level + 1)]
-    else:
-        inertia = [None] * (max_level + 1)
+    if hw.is_real():
+        routed, rederived = routed_inertia(module, AntiInvolution.plus(p), max_level)
+    else:  # no Gram fields, and no Gram matrix built
+        routed, rederived = [(None, None)] * (max_level + 1), None
     # the full module is Fock(J) (x) M_rest(psi), and Fock(J) is irreducible
     rest = (VermaModule(alg, shifted_weight(hw), Sector.complement(p, hw.j_set())) if full
             else module)
     levels = []
-    for d, dim in enumerate(module.graded_dims(max_level)):
-        known = inertia[d] is not None
+    for d, (dim, (inertia, _)) in enumerate(zip(module.graded_dims(max_level), routed)):
         levels.append({"d": d, "dim": dim, "singular": _brute_singular(rest, d),
-                       "gramKernel": inertia[d][2] if known else None,
-                       "verdict": verdict_kind(inertia[d]) if known else None})
+                       "gramKernel": inertia and inertia[2],
+                       "verdict": inertia and verdict_kind(inertia)})
     cross = None
     if full:
         top = split_check_level(p, max_level)
-        agreement = all((inertia[d] is None or _brute_inertia(module, theta, d) == inertia[d])
+        agreement = all((rederived is None or rederived[d] == routed[d][0])
                         and _brute_singular(module, d) == levels[d]["singular"]
                         for d in range(top + 1))
         cross = {"bruteMaxLevel": top, "agreement": agreement}
@@ -469,10 +493,6 @@ def reducibility_report(module, max_level, max_ab=None):
 
 def _brute_singular(module, d):
     return module.singular_count(d) if d else 0
-
-
-def _brute_inertia(module, theta, d):
-    return definiteness(gram(module, theta, d)).inertia
 
 
 # -- Virasoro sub-case scan ----------------------------------------------------

@@ -232,14 +232,22 @@ ONE = Scalar.one()
 
 
 def scalar(value):
-    """Coerce an int, Fraction, Scalar, or text form to a Scalar."""
+    """Coerce an int, Fraction, Scalar, or text form to a Scalar; a bool is none of them."""
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Scalar(value)
     if isinstance(value, str):
         return Scalar.parse(value)
     raise ScalarParseError("cannot coerce %r to a scalar" % (value,))
+
+
+def named_scalar(value, name, *args):
+    """scalar(value), with an error naming where value came from, name % args."""
+    try:
+        return scalar(value)
+    except ScalarParseError as exc:
+        raise ScalarParseError("%s: %s" % (name % args, exc)) from None
 
 
 def int_parts(v):

@@ -19,7 +19,7 @@ from math import lcm
 
 from .algebra import KIND_C, KIND_L, AntiInvolution, add_term, check_beta
 from .errors import ConfigError
-from .scalars import ZERO, Scalar, cancels, int_parts, scalar
+from .scalars import ZERO, Scalar, cancels, int_parts, named_scalar, scalar
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class FMatrix:
         if not (isinstance(rows, (list, tuple))
                 and all(isinstance(r, (list, tuple)) for r in rows)):
             raise ConfigError("F must be a list of rows, each a list of scalars")
-        rows = tuple(tuple(scalar(v) for v in row) for row in rows)
+        rows = tuple(tuple(named_scalar(v, "F_{%d,%d}", i, j) for j, v in enumerate(row))
+                     for i, row in enumerate(rows, 1))
         if len(rows) != p - 1 or any(len(r) != p for r in rows):
             raise ConfigError("F must be (p-1) x p")
         return cls(p, rows)

@@ -19,25 +19,19 @@ reading.  Level-one Gram diagonals equal (i/p) beta_i phi(C_i), so the
 Gram oracle settles which variant the form itself enforces; the verdict uses
 the strict variant and any point where the variants differ is flagged.
 
-The oracle gives the inertia of the contravariant form at every level by one
-of two routes.  For a real weight and real beta it takes the split route,
-Fock(J) (x) Virasoro(shifted weight) (forms.split_inertia), whose Virasoro
-levels off the Kac walls need no elimination (forms.kac_wall_inertia); the
-full Gram route then re-derives every level up to forms.split_check_level,
-those whose full dimension is at most that of the largest Virasoro-sector
-level the split eliminated, and the two must agree.  Any other weight or
-beta takes the full Gram route at every level.
+The oracle gives the inertia of the contravariant form at every level by
+forms.routed_inertia, whose routes (split, kac-wall, full) and full-route
+re-derivation the forms docstring describes.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .algebra import AntiInvolution, check_beta
-from .errors import ConfigError, GramIntegrityError
-from .forms import (PD, PSD_SINGULAR, definiteness, gram, split_check_level, split_inertia,
-                    verdict_kind)
+from .errors import ConfigError
+from .forms import PD, PSD_SINGULAR, routed_inertia, verdict_kind
 from .oscillator import gap_weight_sum, shifted_weight
-from .scalars import Scalar, int_parts, scalar, sign_of_real
+from .scalars import Scalar, int_parts, named_scalar, sign_of_real
 from .series import FMatrix, SeriesModule, series_predicates
 from .verma import HighestWeight, VermaModule
 
@@ -126,53 +120,20 @@ def highest_weight_unitary(hw, beta):
 
 
 def unitarity_oracle(alg, hw, beta, max_level):
-    """Per-level inertia of the form of theta with alpha = 1 and the given beta.
-
-    Each level names its route: for a real weight and real beta, "kac-wall"
-    on a level d >= p whose Virasoro levels 1..d // p the Kac walls certify,
-    "split" on the others; "full" otherwise.  A level whose full Gram matrix fails to be Hermitian
-    is reported as "not-hermitian": no contravariant Hermitian form exists
-    for that weight and involution, which settles the verdict negatively
-    just as a negative eigenvalue would.
+    """Per-level inertia of the form of theta with alpha = 1 and the given beta, each level
+    naming its route, and the crossCheck of the full route's re-derivation, None if no
+    level was split.  A level whose full Gram matrix fails to be Hermitian is reported as
+    "not-hermitian" (the forms docstring).
     """
-    beta = check_beta(hw.p, beta)
-    theta = AntiInvolution.plus(hw.p, 1, beta)
-    if hw.is_real() and all(b.is_real() for b in beta):
-        # Virasoro levels 1..certified-1 are certified; a level below p has none to certify
-        levels, certified = split_inertia(alg, hw, theta, max_level)
-        return [_oracle_level(d, inertia, "kac-wall" if 1 <= d // hw.p < certified else "split")
-                for d, inertia in enumerate(levels)]
-    module = VermaModule(alg, hw)
-    return [_full_level(module, theta, d) for d in range(max_level + 1)]
-
-
-def _oracle_level(d, inertia, route):
-    return {"d": d, "verdict": verdict_kind(inertia), "kernelDim": inertia[2],
-            "inertia": list(inertia), "route": route}
-
-
-def _full_level(module, theta, d):
-    try:
-        return _oracle_level(d, definiteness(gram(module, theta, d)).inertia, "full")
-    except GramIntegrityError:
-        return {"d": d, "verdict": "not-hermitian", "kernelDim": None, "inertia": None,
-                "route": "full"}
-
-
-def full_gram_cross_check(alg, hw, beta, oracle):
-    """Re-derive split-route levels by the full Gram route; None if no level was split.
-
-    It takes the levels up to forms.split_check_level, which bounds the full
-    route's cost by the split's own.
-    """
-    if oracle[0]["route"] != "split":
-        return None
-    top = split_check_level(hw.p, len(oracle) - 1)
-    module = VermaModule(alg, hw)
     theta = AntiInvolution.plus(hw.p, 1, check_beta(hw.p, beta))
-    agreement = all(_full_level(module, theta, e["d"])["inertia"] == e["inertia"]
-                    for e in oracle[:top + 1])
-    return {"fullGramMaxLevel": top, "agreement": agreement}
+    levels, full = routed_inertia(VermaModule(alg, hw), theta, max_level)
+    oracle = [{"d": d, "verdict": verdict_kind(inertia) if inertia else "not-hermitian",
+               "kernelDim": inertia and inertia[2], "inertia": inertia and list(inertia),
+               "route": route} for d, (inertia, route) in enumerate(levels)]
+    cross = None if full is None else {
+        "fullGramMaxLevel": len(full) - 1,
+        "agreement": full == [inertia for inertia, _ in levels[:len(full)]]}
+    return oracle, cross
 
 
 def oracle_is_psd(levels):
@@ -182,8 +143,7 @@ def oracle_is_psd(levels):
 def unitarity_verdict(alg, hw, beta, max_level):
     """Closed form, oracle, the oracle's cross-check and their agreement, for reports."""
     closed = highest_weight_unitary(hw, beta)
-    oracle = unitarity_oracle(alg, hw, beta, max_level)
-    cross = full_gram_cross_check(alg, hw, beta, oracle)
+    oracle, cross = unitarity_oracle(alg, hw, beta, max_level)
     agreement = (closed["closedForm"] == oracle_is_psd(oracle)
                  and (cross is None or cross["agreement"]))
     return {
@@ -219,8 +179,8 @@ def classify(alg, descriptor, max_level=6):
         if missing:
             raise ConfigError("intermediate-series descriptor needs %s" % ", ".join(missing))
         f = FMatrix.make(alg.p, descriptor["f"])
-        module = SeriesModule(alg, scalar(descriptor["a"]), scalar(descriptor["b"]), f,
-                              allow_invalid=True)
+        a, b = (named_scalar(descriptor[k], "descriptor key %r", k) for k in "ab")
+        module = SeriesModule(alg, a, b, f, allow_invalid=True)
         pred = series_predicates(module, beta)
         notes = []
         if pred["fValidation"]:

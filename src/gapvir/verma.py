@@ -377,11 +377,7 @@ class VermaModule:
         """Monomial counts at p-levels 0..max_level, by a partition DP over the factor sizes."""
         if max_level < 0:
             raise ConfigError("p-level must be >= 0")
-        ways = [1] + [0] * max_level
-        for s in self._part_sizes(max_level):
-            for k in range(s, max_level + 1):
-                ways[k] += ways[k - s]
-        return ways
+        return part_counts(self._part_sizes(max_level), max_level)
 
     def highest_vector(self):
         return ModuleVector(self, {EMPTY_MONOMIAL: ONE})
@@ -497,6 +493,15 @@ class VermaModule:
         K^|z| and a column factor K^-(|x| + 1), which keep the rank."""
         ids, rows = self._raising_rows(d, False)
         return len(ids) - rank(rows, len(ids)) if ids else 0
+
+
+def part_counts(sizes, top):
+    """Partitions of 0..top into parts of the given sizes, each in 1..top, by a DP over them."""
+    ways = [1] + [0] * top
+    for s in sizes:
+        for k in range(s, top + 1):
+            ways[k] += ways[k - s]
+    return ways
 
 
 def partition_count(n, cache={0: 1}):

@@ -145,13 +145,13 @@ def test_criterion_6_discrete_series_points():
     alg = GapVirasoro(2)
     for pt in shifted:
         hw = HighestWeight(2, pt["l0"], (pt["c0"], Scalar(1)))
-        levels = unitarity_oracle(alg, hw, ["1"], 8)
+        levels = unitarity_oracle(alg, hw, ["1"], 8)[0]
         assert oracle_is_psd(levels), pt
         assert any(e["verdict"] == "positive-semidefinite-singular"
                    for e in levels), pt
     probe = HighestWeight.make(2, str(Fraction(1, 16) + Fraction(1, 4)),
                                ["3/2", "1"])
-    levels = unitarity_oracle(alg, probe, ["1"], 8)
+    levels = unitarity_oracle(alg, probe, ["1"], 8)[0]
     assert any(e["verdict"] in ("negative-containing", "indefinite")
                for e in levels)
     report(6, "discrete-series-points", "psd with kernel at each, probe rejected")
@@ -214,7 +214,7 @@ def test_criterion_7_closed_form_oracle_agreement():
         alg = GapVirasoro(p)
         hw = HighestWeight.make(p, l0, [c0, c1])
         closed = highest_weight_unitary(hw, beta)
-        oracle = unitarity_oracle(alg, hw, beta, 8)
+        oracle = unitarity_oracle(alg, hw, beta, 8)[0]
         agree = closed["closedForm"] == oracle_is_psd(oracle)
         if not agree:
             print("DISAGREEMENT at %s %s: closed=%s oracle=%s"

@@ -121,8 +121,34 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     ({"d.json": {"type": "highest-weight", "l0": "1/0", "c0": "2", "c1": "1"}},
      ["classify", "--p", "2", "--input", "d.json"],
      "descriptor key 'l0': zero denominator in scalar '1/0'"),
+    # a JSON boolean is no scalar at any entry point
+    ({"run.json": {"weights": {"l0": True, "c0": "1", "c1": "1"}}},
+     ["unitary-check", "--p", "2", "--config", "run.json"],
+     "config weights key 'l0': cannot coerce True to a scalar"),
+    ({"run.json": {"beta": {"beta1": True}}}, ["unitary-check", "--p", "2", "--config", "run.json"],
+     "config beta key 'beta1': cannot coerce True to a scalar"),
+    ({"d.json": {"type": "highest-weight", "l0": "1", "c0": "2", "c1": False, "beta": ["1"]}},
+     ["classify", "--p", "2", "--input", "d.json"],
+     "descriptor key 'c1': cannot coerce False to a scalar"),
+    ({"d.json": {"type": "highest-weight", "l0": "1", "c0": "2", "c1": "1", "beta": [True]}},
+     ["classify", "--p", "2", "--input", "d.json"], "beta_1: cannot coerce True to a scalar"),
+    ({}, ["series-check", "--p", "2", "--a", "1", "--b", "1", "--f", "[[true,true]]"],
+     "F_{1,0}: cannot coerce True to a scalar"),
+    # the descriptor key, beta index or F position is named
+    ({"d.json": {"type": "intermediate-series", "a": None, "b": "1/2", "f": [["1", "1"]]}},
+     ["classify", "--p", "2", "--input", "d.json"],
+     "descriptor key 'a': cannot coerce None to a scalar"),
+    ({"d.json": {"type": "highest-weight", "l0": "1", "c0": "2", "c1": "1", "beta": [{"a": 1}]}},
+     ["classify", "--p", "2", "--input", "d.json"],
+     "beta_1: cannot coerce {'a': 1} to a scalar"),
+    ({"f.json": {"p": 3, "rows": [["1", "1", "1"], ["1", [1], "1"]]}},
+     ["series-check", "--p", "3", "--a", "1", "--b", "1", "--f-file", "f.json"],
+     "F_{2,1}: cannot coerce [1] to a scalar"),
 ], ids=["c-flag", "beta-flag-inline", "beta-flag-bad-term", "bracket-x", "bracket-y", "alpha",
-        "series-b", "config-weights-key", "config-beta-key", "descriptor-key"])
+        "series-b", "config-weights-key", "config-beta-key", "descriptor-key",
+        "config-weights-bool", "config-beta-bool", "descriptor-weight-bool",
+        "descriptor-beta-bool", "f-flag-bool", "descriptor-a-null", "descriptor-beta-object",
+        "f-file-entry-list"])
 def test_scalar_errors_name_their_flag_or_key(tmp_path, monkeypatch, capsys, files, argv, line):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():

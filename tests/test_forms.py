@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from gapvir import forms
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.errors import GramIntegrityError, UnsupportedInvolutionError
 from gapvir.linalg import rank
 from gapvir.forms import (INDEFINITE, NEGATIVE, PD, PSD_SINGULAR,
                           GramMatrix, definiteness, gram, kac_factor, kac_scan,
                           kac_wall_inertia, kac_zeros, phi_virasoro,
-                          reducibility_report, split_check_level, virasoro_module)
+                          reducibility_report, routed_inertia, split_check_level,
+                          virasoro_module)
 from gapvir.oscillator import gap_weight_sum, shifted_weight
 from gapvir.scalars import Scalar, scalar
+from gapvir.unitarity import unitarity_oracle
 from gapvir.verma import HighestWeight, ModuleVector, Sector, VermaModule
 from reference import pairing, weight_of
 
@@ -542,6 +545,53 @@ def test_complex_reducibility_cross_checks_its_singular_counts(p, l0, central):
         d = entry["d"]
         assert entry["singular"] == (len(brute.singular_vectors(d)) if d else 0), (hw, d)
         assert entry["gramKernel"] is None and entry["verdict"] is None
+
+
+def full_inertia(module, theta, d):
+    try:
+        return definiteness(gram(module, theta, d)).inertia
+    except GramIntegrityError:
+        return None
+
+
+# p, l0, central, beta, sector, max level; the expected routes, the number of leading
+# Hermitian levels and the crossCheck tops of unitary-check and reducibility (None: null)
+ROUTE_CASES = {
+    "full-real": (3, "1/2", ["5/2", "1"], ["2", "1/2"], "full", 9,
+                  ["split"] * 3 + ["kac-wall"] * 3 + ["split"] * 4, 10, 3, None),
+    "full-real-unit-beta": (2, "1/16", ["3/2", "1"], ["1"], "full", 8, ["split"] * 9, 9, 4, 4),
+    "gaussian-beta": (2, "1", ["3", "1"], ["3/5+4/5*i"], "full", 4, ["full"] * 5, 1, None, None),
+    "complex-weight": (2, "1/2+i", ["1", "1"], ["1"], "full", 4, ["full"] * 5, 2, None, 2),
+    "restricted-real": (2, "1/16", ["1/2", "0"], ["1"], "virasoro", 16, ["full"] * 17, 17,
+                        None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_routed_inertia_branches(case, monkeypatch):
+    p, l0, central, beta, sector, top_level, routes, hermitian, full_top, brute_top = \
+        ROUTE_CASES[case]
+    alg, hw = GapVirasoro(p), HighestWeight.make(p, l0, central)
+    theta = AntiInvolution.plus(p, 1, beta)
+    sector = Sector.full(p) if sector == "full" else Sector.virasoro()
+    levels, rederived = routed_inertia(VermaModule(alg, hw, sector), theta, top_level)
+    assert [route for _, route in levels] == routes
+    brute = VermaModule(alg, hw, sector)
+    inertia = [full_inertia(brute, theta, d) for d in range(top_level + 1)]
+    assert [i for i, _ in levels] == inertia
+    assert [i is not None for i in inertia] == [d < hermitian for d in range(top_level + 1)]
+    assert rederived == (None if full_top is None else inertia[:full_top + 1])
+    if sector == Sector.full(p):
+        assert unitarity_oracle(alg, hw, beta, top_level)[1] == (
+            None if full_top is None else {"fullGramMaxLevel": full_top, "agreement": True})
+    if beta == ["1"] * (p - 1):  # reducibility's theta; a complex weight builds no Gram matrix
+        if not hw.is_real():
+            monkeypatch.setattr(forms, "gram", None)
+        report = reducibility_report(VermaModule(alg, hw, sector), top_level)
+        assert [e["gramKernel"] for e in report["levels"]] == [
+            i[2] if hw.is_real() else None for i in inertia]
+        assert report["crossCheck"] == (
+            None if brute_top is None else {"bruteMaxLevel": brute_top, "agreement": True})
 
 
 def test_kac_wall_certificates_match_the_ldl():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from gapvir.errors import NotRealError, ScalarParseError
-from gapvir.scalars import ONE, Scalar, scalar, sign_of_real
+from gapvir.scalars import ONE, Scalar, named_scalar, scalar, sign_of_real
 
 
 def rand_scalar(rng, nonzero=False):
@@ -235,3 +235,13 @@ def test_scalar_is_immutable():
             setattr(z, name, value)
     assert (z.re, z.im) == (1, 2)
     assert ONE.conj() is ONE
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_json_booleans_are_not_scalars(value):
+    # bool is an int subclass, so True would otherwise read as 1
+    with pytest.raises(ScalarParseError, match="^cannot coerce %s to a scalar$" % value):
+        scalar(value)
+    with pytest.raises(ScalarParseError, match="^beta_2: cannot coerce %s to a scalar$" % value):
+        named_scalar(value, "beta_%d", 2)
+    assert named_scalar(1, "beta_%d", 2) == scalar("1") and named_scalar("1/2", "x") == scalar("1/2")

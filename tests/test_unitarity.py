@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapvir import forms, unitarity
+from gapvir import forms
 from gapvir.algebra import AntiInvolution, GapVirasoro
 from gapvir.cli import main
 from gapvir.errors import ConfigError
@@ -13,7 +13,7 @@ from gapvir.oscillator import gap_weight_sum, shifted_weight, sugawara_sum
 from gapvir.scalars import Scalar, scalar
 from gapvir.unitarity import (classify, discrete_series, discrete_series_match,
                               heisenberg_condition, highest_weight_unitary,
-                              full_gram_cross_check, lowest_weight_dualize,
+                              lowest_weight_dualize,
                               oracle_is_psd, unitarity_oracle, unitarity_verdict)
 from gapvir.verma import HighestWeight, Sector, VermaModule
 from reference import pairing
@@ -143,26 +143,26 @@ def test_variant_discrepancy_flag():
 
 def test_oracle_on_continuum_interior():
     alg = GapVirasoro(2)
-    levels = unitarity_oracle(alg, hw2("1", "3"), ["1"], 6)
+    levels = unitarity_oracle(alg, hw2("1", "3"), ["1"], 6)[0]
     assert all(e["verdict"] == "positive-definite" for e in levels)
 
 
 def test_oracle_on_discrete_point_sees_kernel():
     alg = GapVirasoro(2)
-    levels = unitarity_oracle(alg, hw2("1/16", "3/2"), ["1"], 6)
+    levels = unitarity_oracle(alg, hw2("1/16", "3/2"), ["1"], 6)[0]
     assert oracle_is_psd(levels)
     assert any(e["verdict"] == "positive-semidefinite-singular" for e in levels)
 
 
 def test_oracle_negative_heisenberg_diagonal():
     alg = GapVirasoro(2)
-    levels = unitarity_oracle(alg, hw2("1", "3", "-1"), ["1"], 1)
+    levels = unitarity_oracle(alg, hw2("1", "3", "-1"), ["1"], 1)[0]
     assert levels[1]["verdict"] == "negative-containing"
 
 
 def test_oracle_flags_non_hermitian_form():
     alg = GapVirasoro(2)
-    levels = unitarity_oracle(alg, hw2("1", "3", "1"), ["3/5+4/5*i"], 1)
+    levels = unitarity_oracle(alg, hw2("1", "3", "1"), ["3/5+4/5*i"], 1)[0]
     assert levels[1]["verdict"] == "not-hermitian"
     verdict = unitarity_verdict(alg, hw2("1", "3", "1"), ["3/5+4/5*i"], 1)
     assert verdict["verdict"] == "not-unitary" and verdict["agreement"]
@@ -231,8 +231,7 @@ def test_cross_check_covers_levels_no_larger_than_the_split(p, max_level, cap):
     # full levels of dimension at most that of the largest Virasoro-sector level
     hw = HighestWeight.make(p, "1", ["5"] + ["1"] * (p // 2))
     beta = ["1"] * (p - 1)
-    oracle = unitarity_oracle(GapVirasoro(p), hw, beta, max_level)
-    assert full_gram_cross_check(GapVirasoro(p), hw, beta, oracle) == {
+    assert unitarity_oracle(GapVirasoro(p), hw, beta, max_level)[1] == {
         "fullGramMaxLevel": cap, "agreement": True}
 
 
@@ -243,7 +242,7 @@ def test_split_full_disagreement_exits_one(monkeypatch, capsys):
         out[2] = (pos, neg + 1, zero - 1)
         return out, certified
 
-    monkeypatch.setattr(unitarity, "split_inertia", skewed)
+    monkeypatch.setattr(forms, "split_inertia", skewed)
     argv = ["unitary-check", "--p", "2", "--l0", "1/16", "--c0", "3/2", "--c1", "1",
             "--max-level", "4"]
     assert main(argv) == 1
@@ -284,7 +283,7 @@ def test_oracle_scans_the_kac_walls_once(monkeypatch):
     for l0, c0, routes in (("1/3", "5/2", ["split"] * 2 + ["kac-wall"] * 7),
                            ("1/16", "3/2", ["split"] * 9)):
         scans.clear()
-        oracle = unitarity_oracle(alg, hw2(l0, c0), ["1"], 8)
+        oracle = unitarity_oracle(alg, hw2(l0, c0), ["1"], 8)[0]
         assert scans == [4]
         assert [e["route"] for e in oracle] == routes
     scans.clear()

@@ -8,7 +8,7 @@ from gapvir.algebra import GapVirasoro
 from gapvir.errors import ConfigError
 from gapvir.scalars import ONE, Scalar, scalar
 from gapvir.verma import (EMPTY_MONOMIAL, HighestWeight, PBWMonomial, Sector,
-                          VermaModule, partition_count)
+                          VermaModule, part_counts, partition_count)
 from reference import gen_element, graded_dim, row_reduce
 
 
@@ -225,3 +225,11 @@ def test_partition_count_recurrence():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
              231, 297, 385, 490, 627]
     assert [partition_count(n) for n in range(21)] == known
+    assert part_counts(range(1, 21), 20) == known
+
+
+def test_part_counts_into_odd_parts():
+    # p = 2 Fock sizes: partitions into odd parts, equinumerous with distinct parts
+    assert part_counts(range(1, 16, 2), 15) == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18,
+                                                22, 27]
+    assert part_counts([], 3) == [1, 0, 0, 0] and part_counts([2], 0) == [1]
